@@ -9,6 +9,12 @@ a step never reads opinions it has already written.
 Every trajectory eventually becomes periodic with period one or two, so
 :func:`run` only ever reports unanimity, a (possibly period-one) two-cycle,
 or hitting the day cap.
+
+The step is one sparse matvec of the signs in the adjacency's dtype, the
+narrowest signed integer holding -deg..deg for the graph's maximum degree
+(int8 at the paper's sparse densities), so the sums are exact and the
+matvec moves as few bytes as the graph allows.  :func:`neighbor_sums`
+returns them as int32 whatever that dtype is.
 """
 
 from __future__ import annotations
@@ -88,15 +94,17 @@ def bias(s: OpinionVector) -> int:
 
 
 def _neighbor_sums(g: Graph, signs: np.ndarray) -> np.ndarray:
-    """Per-vertex sum of neighbor opinions, exact int32 arithmetic."""
-    return g._adjacency @ signs.astype(np.int32)
+    """Per-vertex sum of neighbor opinions, exact in the adjacency's
+    degree-sized dtype (int8 at mean degree 20)."""
+    a = g._adjacency
+    return a @ signs.astype(a.dtype, copy=False)
 
 
 def neighbor_sums(g: Graph, s: OpinionVector) -> np.ndarray:
-    """Vector of signed neighbor sums for every vertex."""
+    """Vector of signed neighbor sums for every vertex, as int32."""
     if s.n != g.n:
         raise ValueError("opinion vector does not match graph size")
-    return _neighbor_sums(g, s.signs())
+    return _neighbor_sums(g, s.signs()).astype(np.int32)
 
 
 def neighbor_sum(g: Graph, s: OpinionVector, v: int) -> int:
@@ -108,8 +116,9 @@ def neighbor_sum(g: Graph, s: OpinionVector, v: int) -> int:
 
 
 def _step_signs(g: Graph, signs: np.ndarray) -> np.ndarray:
-    sums = _neighbor_sums(g, signs)
-    return np.where(sums > 0, np.int8(1), np.where(sums < 0, np.int8(-1), signs))
+    out = np.sign(_neighbor_sums(g, signs)).astype(np.int8, copy=False)
+    np.copyto(out, signs, where=out == 0)  # a tie keeps the old opinion
+    return out
 
 
 def majority_step(g: Graph, s: OpinionVector) -> OpinionVector:

@@ -9,6 +9,16 @@ share across threads.
 All randomness flows through numpy's PCG64 generator (``default_rng``).
 Sampling is deterministic per seed: identical ``(n, p, seed)`` give an
 identical graph, bit for bit.
+
+Both :func:`sample_gnp` and :func:`from_edges` reduce their edges to sorted
+linear pair indices and share one assembly path: exact integer row starts
+split the indices into upper-triangle CSR, a counting transpose gives the
+lower triangle, and two scatters merge the halves.  No float root and no
+sort or COO conversion is involved.
+
+The scipy adjacency used by the dynamics stores its ones in the narrowest
+signed dtype that holds every neighbour sum (int8 up to maximum degree
+127), sized from the graph itself.
 """
 
 from __future__ import annotations
@@ -66,10 +76,28 @@ class Graph:
 
     @cached_property
     def _adjacency(self) -> sp.csr_matrix:
-        """scipy CSR view of the adjacency matrix, used for the hot loops."""
-        data = np.ones(self.neighbors.size, dtype=np.int32)
+        """scipy CSR view of the adjacency matrix, used for the hot loops.
+
+        Its ``data`` has the narrowest signed dtype holding every neighbour
+        sum, -deg..deg, so a matvec of signs cast to that dtype is exact:
+        int8 up to degree 127, int16 up to 32767, else int32 or wider.
+        """
+        dtype = np.min_scalar_type(-(int(self.degrees.max()) + 1))
+        data = np.ones(self.neighbors.size, dtype=dtype)
         indptr = self.offsets.astype(np.int32) if self.neighbors.size < 2**31 else self.offsets
         return sp.csr_matrix((data, self.neighbors, indptr), shape=(self.n, self.n))
+
+    def __getstate__(self) -> dict:
+        # the cached views are rebuilt on demand; pickles carry the CSR only
+        state = self.__dict__.copy()
+        state.pop("_adjacency", None)
+        state.pop("degrees", None)
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.offsets.setflags(write=False)
+        self.neighbors.setflags(write=False)
 
     def neighbors_of(self, v: int) -> np.ndarray:
         if not 0 <= v < self.n:
@@ -112,21 +140,44 @@ def from_edges(n: int, edges, p: float | None = None) -> Graph:
         raise ValueError("edge endpoint out of range")
     if np.any(pairs[:, 0] == pairs[:, 1]):
         raise ValueError("self-loops are not allowed")
-    u = np.minimum(pairs[:, 0], pairs[:, 1]).astype(np.int32)
-    v = np.maximum(pairs[:, 0], pairs[:, 1]).astype(np.int32)
-    return _assemble(n, u, v, p)
-
-
-def _assemble(n: int, u: np.ndarray, v: np.ndarray, p: float | None) -> Graph:
-    """CSR assembly from one-direction edge endpoints (u != v elementwise)."""
-    rows = np.concatenate([u, v])
-    cols = np.concatenate([v, u])
-    coo = sp.coo_matrix((np.ones(rows.size, dtype=np.int32), (rows, cols)), shape=(n, n))
-    csr = coo.tocsr()
-    csr.sort_indices()
-    if np.any(csr.data != 1):
+    u = np.minimum(pairs[:, 0], pairs[:, 1])
+    v = np.maximum(pairs[:, 0], pairs[:, 1])
+    lin = np.sort(_row_start(n, u) + v - u - 1)
+    if np.any(lin[1:] == lin[:-1]):
         raise ValueError("duplicate edges are not allowed")
-    return Graph(n, csr.indptr, csr.indices, p)
+    return _from_pair_indices(n, lin, p)
+
+
+def _row_start(n: int, u: np.ndarray) -> np.ndarray:
+    """Linear index of the pair (u, u+1): the pairs of rows 0..u-1 come first."""
+    return u * (n - 1) - u * (u - 1) // 2
+
+
+def _from_pair_indices(n: int, lin: np.ndarray, p: float | None) -> Graph:
+    """Symmetric CSR from sorted, unique linear pair indices.
+
+    Pair (u, v), u < v, has index R(u) + v - u - 1 in the lexicographic
+    enumeration.  Row starts R(w) are exact integers, so one binary search
+    splits ``lin`` into upper-triangle rows; a counting transpose gives the
+    lower triangle, and two scatters interleave the halves: in row w every
+    lower neighbour (< w) precedes every upper one (> w), so each merged
+    row comes out sorted.
+    """
+    m = lin.size
+    idx = np.int32 if 2 * m < 2**31 else np.int64
+    w = np.arange(n + 1, dtype=np.int64)
+    starts = _row_start(n, w)
+    upptr = np.searchsorted(lin, starts).astype(idx)
+    upper = np.repeat(starts[:-1] - w[:-1] - 1, np.diff(upptr))
+    np.subtract(lin, upper, out=upper)
+    upper = upper.astype(np.int32)
+    lower = sp.csr_matrix((np.ones(m, dtype=bool), upper, upptr), shape=(n, n)).tocsc()
+    lowptr = lower.indptr.astype(idx, copy=False)
+    neighbors = np.empty(2 * m, dtype=np.int32)
+    neighbors[np.arange(m, dtype=idx) + np.repeat(upptr[:-1], np.diff(lowptr))] = lower.indices
+    neighbors[np.arange(m, dtype=idx) + np.repeat(lowptr[1:], np.diff(upptr))] = upper
+    offsets = upptr.astype(np.int64) + lowptr
+    return Graph(n, offsets, neighbors, p)
 
 
 def sample_gnp(n: int, p: float, seed) -> Graph:
@@ -134,9 +185,10 @@ def sample_gnp(n: int, p: float, seed) -> Graph:
 
     The n(n-1)/2 vertex pairs are enumerated in lexicographic order and the
     gap to the next present edge is drawn geometrically, so the dense
-    Bernoulli sweep is never materialized.  Linear pair indices are mapped
-    back to (u, v) by inverting the row-start quadratic, with an exact
-    integer fix-up of the float root.
+    Bernoulli sweep is never materialized (Batagelj and Brandes 2005).  The
+    cumulative gaps are the sorted, unique linear indices of the present
+    pairs, which :func:`_from_pair_indices` turns into CSR with exact
+    integer arithmetic.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -156,26 +208,15 @@ def sample_gnp(n: int, p: float, seed) -> Graph:
         # tiny p saturates the int64 inversion; any such gap overshoots the
         # pair range anyway, so clamping keeps the cumsum overflow-free
         np.clip(gaps, 1, total + 1, out=gaps)
-        cum = np.cumsum(gaps, dtype=np.int64) + pos
-        parts.append(cum)
-        pos = int(cum[-1])
+        lin = np.cumsum(gaps, out=gaps)
+        lin += pos - 1
+        parts.append(lin)
+        pos = int(lin[-1]) + 1
         chunk = max(chunk // 8, 1024)
-    lin = np.concatenate(parts) - 1
-    lin = lin[lin < total]
-
-    # pairs before row u: R(u) = u*(n-1) - u*(u-1)/2; invert u^2 - (2n-1)u + 2t = 0
-    b = 2.0 * n - 1.0
-    u = ((b - np.sqrt(b * b - 8.0 * lin)) / 2.0).astype(np.int64)
-    np.clip(u, 0, n - 2, out=u)
-
-    def row_start(w):
-        return w * (n - 1) - w * (w - 1) // 2
-
-    u -= row_start(u) > lin
-    u += row_start(u + 1) <= lin
-    v = lin - row_start(u) + u + 1
-    return _assemble(n, u.astype(np.int32), v.astype(np.int32), p)
-
+    # only the last chunk crosses the end of the pair range
+    parts[-1] = parts[-1][: np.searchsorted(parts[-1], total)]
+    lin = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    return _from_pair_indices(n, lin, p)
 
 def degree_stats(g: Graph) -> tuple[int, int, float]:
     """(min degree, max degree, mean degree)."""
@@ -285,8 +326,14 @@ def save_graph(g: Graph, path) -> None:
 
 
 def load_graph(path) -> Graph:
-    """Read a graph written by :func:`save_graph`; rejects bad magic,
-    unknown versions, and truncated files."""
+    """Read a graph written by :func:`save_graph`.
+
+    Rejects bad magic, unknown versions, truncated files, decreasing
+    offsets and neighbour ids outside ``0..n-1``, so no id can wrap when
+    cast to int32.  Symmetry, sortedness and self-loops are left to
+    :meth:`Graph.validate`: checking them costs about a second at n=10^6,
+    several times the load itself.
+    """
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -304,5 +351,9 @@ def load_graph(path) -> Graph:
     if len(raw) != nbr_end:
         raise ValueError(f"{path}: length {len(raw)} does not match header")
     offsets = np.frombuffer(raw, dtype="<u8", count=n + 1, offset=_HEADER.size).astype(np.int64)
-    neighbors = np.frombuffer(raw, dtype="<u4", count=2 * edge_count, offset=off_end).astype(np.int32)
-    return Graph(n, offsets, neighbors)
+    if np.any(offsets[1:] < offsets[:-1]):
+        raise ValueError(f"{path}: offsets decrease")
+    neighbors = np.frombuffer(raw, dtype="<u4", count=2 * edge_count, offset=off_end)
+    if neighbors.size and neighbors.max() >= n:
+        raise ValueError(f"{path}: neighbor id out of range for n={n}")
+    return Graph(n, offsets, neighbors.astype(np.int32))

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 _CONV_TRIALS_GUARD = 20000
 _BERRY_ESSEEN_GUARD = 10**6
@@ -68,6 +68,9 @@ class PMF:
 
 
 def _binom_masses(spec: BinomSpec) -> np.ndarray:
+    # scipy.stats takes most of a second to import; only this needs it
+    from scipy import stats
+
     return stats.binom.pmf(np.arange(spec.trials + 1), spec.trials, spec.prob)
 
 

@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import majdyn
 from majdyn import ExperimentConfig, load_graph, run_experiment, write_report
 from majdyn.cli import main
 from majdyn.harness import _CSV_COLUMNS, report_to_dict
@@ -249,6 +253,13 @@ class TestVerifyLemmas:
         }
 
 
+    def test_output_bytes_pinned(self, capsys):
+        code, out, _ = run_cli(capsys, "verify-lemmas", "--max-trials", "25", "--seed", "3")
+        assert code == 0
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "d497b258f40a4fd28db4b386de3652ee0c4485c92ba49574d98e7fcc7c17a524"
+
+
 class TestFailurePaths:
     def test_unwritable_output_is_runtime_failure(self, capsys, tmp_path):
         code, _, err = run_cli(
@@ -267,3 +278,16 @@ def test_installed_entry_point():
     )
     assert proc.returncode == 0
     assert len(proc.stdout.splitlines()) == 3
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs most of a second to import; only probkit's binomial
+    # masses need it, so a plain import must not pull it in
+    src_dir = str(Path(majdyn.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src_dir)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, majdyn; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

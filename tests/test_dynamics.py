@@ -91,6 +91,30 @@ class TestNeighborSum:
             assert neighbor_sum(g, s, v) == sums[v]
 
 
+class TestDegreeSizedSums:
+    """Stars whose centre degree sits on either side of the int8/int16 and
+    int16/int32 edges of the adjacency's degree-sized dtype."""
+
+    @pytest.mark.parametrize(
+        "leaves, dtype",
+        [(127, np.int8), (128, np.int16), (32767, np.int16), (32768, np.int32)],
+    )
+    @pytest.mark.parametrize("leaf_sign", [1, -1])
+    def test_centre_sum_is_exactly_the_degree(self, leaves, dtype, leaf_sign):
+        g = star_graph(leaves)
+        signs = np.full(leaves + 1, leaf_sign, dtype=np.int8)
+        signs[0] = -leaf_sign
+        s = OpinionVector.from_signs(signs)
+        sums = neighbor_sums(g, s)
+        assert g._adjacency.dtype == dtype
+        assert sums.dtype == np.int32
+        assert sums[0] == leaf_sign * leaves
+        assert np.all(sums[1:] == -leaf_sign)
+        out = majority_step(g, s)
+        assert out == majority_step_reference(g, s)
+        assert out.signs()[0] == leaf_sign
+
+
 class TestMajorityStep:
     def test_path_alternation(self):
         g = path_graph(3)

@@ -7,7 +7,9 @@ directly.
 
 from __future__ import annotations
 
+import hashlib
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -16,14 +18,20 @@ from hypothesis import strategies as st
 
 from conftest import complete_graph, empty_graph, path_graph, star_graph
 from majdyn import (
+    OpinionVector,
     degree_stats,
     edges_between,
     estimate_jumbledness,
     from_edges,
     load_graph,
+    majority_step,
     sample_gnp,
     save_graph,
 )
+
+
+def csr_digest(g):
+    return hashlib.sha256(g.offsets.tobytes() + g.neighbors.tobytes()).hexdigest()
 
 
 class TestSampleGnp:
@@ -91,6 +99,36 @@ class TestSampleGnp:
         for v in range(g.n):
             for u in g.neighbors_of(v):
                 assert v in g.neighbors_of(int(u))
+
+
+class TestSamplerDigests:
+    """The exact bytes of sampled graphs, pinned so any change to the
+    sampler's draws or its CSR assembly shows up."""
+
+    @pytest.mark.parametrize(
+        "n, p, seed, digest",
+        [
+            (2, 1.0, 0, "359ad77c04cfcb7e9de6cca919c4924ff161d0dbdedbc0e20211649dc3b9ad99"),
+            (300, 1.0, 1, "5f230967beec171b52440ffbd3d9e41c5df7c0ac83674736b8f3b7d52e3a4c90"),
+            (1000, 1e-9, 2, "6ef7cad281b0f497955a2b3ee60c8285fcc186eec9b6aae6d0af7bbb115366de"),
+            (5000, 0.01, 3, "3f9a49e68bf99094d734cd5689a304ff397a4b81fbac580a0f09b6e701d28469"),
+            (20000, 1e-3, 4, "5b52dbf5d789682bd04d5f6daa50554decc8dbad40237f6e1d2c16c388d9d06b"),
+        ],
+    )
+    def test_sample_gnp_bytes(self, n, p, seed, digest):
+        assert csr_digest(sample_gnp(n, p, seed)) == digest
+
+    def test_from_edges_shuffled_bytes(self):
+        g = sample_gnp(400, 0.05, 5)
+        rows = np.repeat(np.arange(g.n), g.degrees)
+        pairs = np.stack([rows, g.neighbors], axis=1)
+        pairs = pairs[pairs[:, 0] < pairs[:, 1]]
+        rng = np.random.default_rng(11)
+        pairs = pairs[rng.permutation(len(pairs))]
+        flip = rng.random(len(pairs)) < 0.5
+        pairs[flip] = pairs[flip][:, ::-1]
+        h = from_edges(g.n, pairs.tolist())
+        assert csr_digest(h) == "1301225bbc025016376686b74139300000b4e922550bf59aa571dca0d26c09f4"
 
 
 class TestFromEdges:
@@ -209,6 +247,55 @@ class TestSerialization:
         with pytest.raises(ValueError, match="length"):
             load_graph(path)
 
+    @staticmethod
+    def _path_dump(tmp_path):
+        path = tmp_path / "path.bin"
+        save_graph(path_graph(4), path)
+        return path, bytearray(path.read_bytes())
+
+    @pytest.mark.parametrize("bad_id", [4, 2**32 - 1])
+    def test_rejects_neighbor_id_out_of_range(self, tmp_path, bad_id):
+        # the last neighbour id, 2 for vertex 3, edited to n or to an id
+        # that an unchecked int32 cast would wrap to -1
+        path, raw = self._path_dump(tmp_path)
+        raw[-4:] = bad_id.to_bytes(4, "little")
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="neighbor id out of range"):
+            load_graph(path)
+
+    def test_rejects_decreasing_offsets(self, tmp_path):
+        # offsets 0, 1, 3, 5, 6 become 0, 4, 3, 5, 6
+        path, raw = self._path_dump(tmp_path)
+        off1 = 28 + 8
+        raw[off1:off1 + 8] = (4).to_bytes(8, "little")
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="offsets decrease"):
+            load_graph(path)
+
+    def test_asymmetric_dump_is_left_to_validate(self, tmp_path):
+        # vertex 3's neighbour 2 edited to 0: in range, but 0 does not list 3
+        path, raw = self._path_dump(tmp_path)
+        raw[-4:] = (0).to_bytes(4, "little")
+        path.write_bytes(bytes(raw))
+        g = load_graph(path)
+        with pytest.raises(ValueError, match="not symmetric"):
+            g.validate()
+
     def test_missing_file_has_path_context(self, tmp_path):
         with pytest.raises(OSError, match="nope.bin"):
             load_graph(tmp_path / "nope.bin")
+
+
+class TestPickling:
+    def test_cached_views_stay_out_of_the_pickle(self):
+        g = sample_gnp(2000, 0.01, 3)
+        before = len(pickle.dumps(g))
+        s = OpinionVector.from_signs(np.where(np.arange(g.n) % 3 == 0, 1, -1).astype(np.int8))
+        step = majority_step(g, s)
+        assert g.degrees.size == g.n
+        blob = pickle.dumps(g)
+        assert len(blob) == before
+        h = pickle.loads(blob)
+        assert csr_digest(h) == csr_digest(g)
+        assert not h.offsets.flags.writeable and not h.neighbors.flags.writeable
+        assert majority_step(h, s) == step

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import complete_graph, empty_graph, path_graph
+from conftest import complete_graph, empty_graph, path_graph, star_graph
 from majdyn import (
     OpinionModel,
     OpinionVector,
@@ -178,6 +178,22 @@ class TestCensus:
         assert rep.unstable_with_swing == 1
         rep = census(g, r0, np.array([], dtype=np.int64), gamma=0.1, p=0.5)
         assert rep.unstable_with_swing == 0
+
+    def test_star_centre_sum_past_int8(self):
+        # 128 leaves: the centre's day-one sum of +-128 does not fit in int8
+        g = star_graph(128)
+        none = np.array([], dtype=np.int64)
+        plus = OpinionVector.from_signs(np.ones(129, dtype=np.int8))
+        rep = census(g, plus, none, gamma=0.0, p=0.5)
+        assert (rep.almost_positive, rep.unstable, rep.excess) == (129, 0, 64)
+        rep = census(g, -plus, none, gamma=0.0, p=0.5)
+        assert (rep.almost_positive, rep.unstable, rep.excess) == (0, 0, -65)
+        # centre +1 between 64 + and 64 - leaves: tied, so unstable, and it
+        # keeps +1, turning every leaf + on day one
+        signs = np.ones(129, dtype=np.int8)
+        signs[65:] = -1
+        rep = census(g, OpinionVector.from_signs(signs), np.array([5]), gamma=0.0, p=0.5)
+        assert (rep.almost_positive, rep.unstable, rep.unstable_with_swing) == (129, 1, 1)
 
     def test_gamma_zero_uses_strict_positive(self):
         # all day-one sums are 0 on the empty graph: strictly > 0 fails
