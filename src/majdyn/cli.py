@@ -3,7 +3,9 @@
 Subcommands: run, sweep, census, growth, contraction, verify-lemmas,
 gen-graph.  Data goes to stdout (or -o FILE) in CSV by default, JSON behind
 --format json; progress and summaries go to stderr.  Exit codes: 0 success,
-1 validation error (single-line diagnostic on stderr), 2 runtime failure.
+1 validation error (single-line diagnostic on stderr), 2 runtime failure,
+which for ``run`` includes every trial recording an error (the report is
+still written).
 """
 
 from __future__ import annotations
@@ -66,7 +68,11 @@ def _build_parser() -> _Parser:
             p.add_argument("--c", type=float, help="swing coefficient for the morning model")
             p.add_argument("--gamma", type=float, help="census threshold coefficient")
 
-    p_run = sub.add_parser("run", help="run one experiment and report per-trial rows")
+    p_run = sub.add_parser(
+        "run", help="run one experiment and report per-trial rows",
+        description="Run one experiment and report per-trial rows.  Failed trials are "
+                    "rows with outcome 'error'; when every trial failed the report is "
+                    "still written and the exit code is 2.")
     add_common(p_run)
 
     p_sweep = sub.add_parser("sweep", help="sweep a d or p grid")
@@ -171,8 +177,9 @@ def _emit_rows(rows, columns, args) -> None:
 def _cmd_run(args) -> int:
     cfg = _config_from_args(args)
     report = harness.run_experiment(cfg)
+    errors = report.aggregates["errors"]
     _log(f"ran {cfg.trials} trials at n={cfg.n} p={cfg.resolved_p():.6g}; "
-         f"unanimity fraction {report.aggregates['unanimity_fraction']:.3f}")
+         f"unanimity fraction {report.aggregates['unanimity_fraction']:.3f}; errors {errors}")
     if args.output:
         for written in harness.write_report(report, args.output, args.format):
             _log(f"wrote {written}")
@@ -185,6 +192,9 @@ def _cmd_run(args) -> int:
             for col in harness._CSV_COLUMNS:
                 row.setdefault(col, None)
         _emit_rows(rows, harness._CSV_COLUMNS, args)
+    if errors == cfg.trials:
+        _log(f"every trial failed; first error: {report.trials[0].error}")
+        return 2
     return 0
 
 

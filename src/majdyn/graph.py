@@ -246,8 +246,10 @@ def _gathered_neighbors(g: Graph, verts: np.ndarray) -> np.ndarray:
     totaln = int(counts.sum())
     if totaln == 0:
         return np.empty(0, dtype=np.int32)
-    ends = np.cumsum(counts)
-    idx = np.arange(totaln, dtype=np.int64) - np.repeat(ends - counts, counts) + np.repeat(starts, counts)
+    # entry j of the output sits at offset j - (counts before its vertex)
+    # past that vertex's start
+    idx = np.repeat(starts + counts - np.cumsum(counts), counts)
+    idx += np.arange(totaln, dtype=np.int64)
     return g.neighbors[idx]
 
 
@@ -319,8 +321,10 @@ def save_graph(g: Graph, path) -> None:
     try:
         with open(path, "wb") as fh:
             fh.write(_HEADER.pack(_MAGIC, _VERSION, g.n, g.edge_count))
-            fh.write(g.offsets.astype("<u8").tobytes())
-            fh.write(g.neighbors.astype("<u4").tobytes())
+            # every value is non-negative, so the signed arrays have the
+            # u64/u32 bytes already and are written without a copy
+            fh.write(g.offsets.astype("<i8", copy=False))
+            fh.write(g.neighbors.astype("<i4", copy=False))
     except OSError as exc:
         raise OSError(f"cannot write graph to {path}: {exc}") from exc
 

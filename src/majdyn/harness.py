@@ -433,6 +433,8 @@ def model_to_dict(model: OpinionModel) -> dict:
         out["d"] = model.d
     if model.kind == "morning_evening":
         out["c"] = model.c
+    if model.seed is not None:
+        out["seed"] = model.seed
     return out
 
 

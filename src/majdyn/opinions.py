@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import OpinionVector, _neighbor_sums, _pack, majority_step
-from .graph import Graph, _rng
+from .graph import Graph, _gathered_neighbors, _rng
 
 MODEL_KINDS = ("uniform", "fixed_discrepancy", "morning_evening")
 
@@ -157,9 +157,8 @@ def census(g: Graph, r0: OpinionVector, swing_set, gamma: float, p: float) -> Ce
     threshold = -gamma * p ** 1.5 * g.n
     almost_positive = int(np.count_nonzero(sums1 > threshold))
     unstable_mask = _neighbor_sums(g, r0.signs()) == 0
-    indicator = np.zeros(g.n, dtype=np.int32)
-    indicator[swing] = 1
-    touches_swing = (g._adjacency @ indicator) > 0
+    touches_swing = np.zeros(g.n, dtype=bool)
+    touches_swing[_gathered_neighbors(g, swing)] = True
     return CensusReport(
         gamma=gamma,
         threshold=threshold,

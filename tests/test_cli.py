@@ -261,6 +261,37 @@ class TestVerifyLemmas:
 
 
 class TestFailurePaths:
+    @staticmethod
+    def _failing_run(monkeypatch, fail_trials):
+        real = majdyn.harness.run
+        calls = []
+
+        def run(g, s0, day_cap):
+            calls.append(None)
+            if len(calls) in fail_trials:
+                raise RuntimeError("forced")
+            return real(g, s0, day_cap)
+
+        monkeypatch.setattr(majdyn.harness, "run", run)
+
+    def test_every_trial_failing_exits_2(self, capsys, monkeypatch, tmp_path):
+        self._failing_run(monkeypatch, {1, 2, 3})
+        out_path = tmp_path / "r.csv"
+        code, _, err = run_cli(
+            capsys, "run", "--n", "40", "--p", "0.1", "--trials", "3", "-o", str(out_path),
+        )
+        assert code == 2
+        assert "errors 3" in err and "RuntimeError: forced" in err
+        rows = parse_csv(out_path.read_text())
+        assert [r["outcome"] for r in rows] == ["error"] * 3
+
+    def test_some_trials_failing_exits_0(self, capsys, monkeypatch):
+        self._failing_run(monkeypatch, {2})
+        code, out, err = run_cli(capsys, "run", "--n", "40", "--p", "0.1", "--trials", "3")
+        assert code == 0
+        assert "errors 1" in err
+        assert [r["outcome"] for r in parse_csv(out)].count("error") == 1
+
     def test_unwritable_output_is_runtime_failure(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "run", "--n", "40", "--p", "0.1", "--trials", "1",

@@ -7,6 +7,9 @@ reference implementation on random instances.
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +17,7 @@ from hypothesis import strategies as st
 
 from conftest import complete_graph, cycle_graph, empty_graph, path_graph, star_graph
 from majdyn import (
+    OpinionModel,
     OpinionVector,
     bias,
     from_edges,
@@ -22,9 +26,12 @@ from majdyn import (
     neighbor_sum,
     neighbor_sums,
     run,
+    sample_fixed_discrepancy,
     sample_gnp,
+    sample_initial,
     sample_uniform,
 )
+from majdyn.dynamics import _neighbor_sums
 
 
 def vec(*signs):
@@ -274,3 +281,177 @@ class TestRun:
             run(path_graph(3), vec(1, -1), day_cap=5)
         with pytest.raises(ValueError):
             run(path_graph(3), vec(1, -1, 1), day_cap=0)
+
+
+def with_minority(n, k, majority, seed):
+    """A state with exactly ``k`` vertices of sign -majority at random."""
+    signs = np.full(n, majority, dtype=np.int8)
+    signs[np.random.default_rng(seed).choice(n, size=k, replace=False)] = -majority
+    return OpinionVector.from_signs(signs)
+
+
+def uses_minority_side(g, s):
+    # the minority-side sums come out of bincount as int64; the matvec
+    # keeps the adjacency's degree-sized dtype
+    return _neighbor_sums(g, s.signs()).dtype == np.int64
+
+
+class TestMinoritySideStep:
+    """The step sums from the minority's side once 16 * minority <= n, and
+    from the whole adjacency otherwise; both must equal the reference."""
+
+    @pytest.mark.parametrize("n", [160, 1000, 1007])
+    @pytest.mark.parametrize("majority", [1, -1])
+    def test_both_sides_of_the_crossover(self, n, majority):
+        g = sample_gnp(n, 12.0 / n, n)
+        for k, minority_side in ((n // 16, True), (n // 16 + 1, False)):
+            s = with_minority(n, k, majority, k)
+            assert uses_minority_side(g, s) == minority_side
+            out = majority_step(g, s)
+            assert out == majority_step_reference(g, s)
+            sums = neighbor_sums(g, s)
+            assert sums.dtype == np.int32
+            assert np.array_equal(sums, [neighbor_sum(g, s, v) for v in range(n)])
+
+    @pytest.mark.parametrize("leaves", [16, 40, 200])
+    def test_star(self, leaves):
+        g = star_graph(leaves)
+        n = leaves + 1
+        # the centre alone in the minority: it turns, every leaf follows it
+        signs = np.ones(n, dtype=np.int8)
+        signs[0] = -1
+        s = OpinionVector.from_signs(signs)
+        assert uses_minority_side(g, s)
+        assert majority_step(g, s) == majority_step_reference(g, s)
+        assert list(majority_step(g, s).signs()) == [1] + [-1] * leaves
+        # one leaf in the minority: only that leaf turns
+        signs = np.ones(n, dtype=np.int8)
+        signs[leaves] = -1
+        s = OpinionVector.from_signs(signs)
+        assert majority_step(g, s) == majority_step_reference(g, s)
+        assert majority_step(g, s) == OpinionVector.from_signs(np.ones(n, dtype=np.int8))
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_single_vertex(self, sign):
+        g = empty_graph(1)
+        s = vec(sign)
+        assert uses_minority_side(g, s)
+        assert majority_step(g, s) == s
+        traj = run(g, s, day_cap=5)
+        assert (traj.outcome.kind, traj.outcome.day, traj.outcome.sign) == ("unanimous", 0, sign)
+        assert [d.flips for d in traj.days] == [0, 0]
+
+    def test_empty_graph_keeps_a_small_minority(self):
+        g = empty_graph(40)
+        s = with_minority(40, 2, 1, 0)
+        assert uses_minority_side(g, s)
+        assert majority_step(g, s) == s
+        traj = run(g, s, day_cap=5)
+        assert (traj.outcome.kind, traj.outcome.period, traj.outcome.day) == ("period_two", 1, 1)
+
+    def test_isolated_minority_vertices_keep_their_sign(self):
+        # a 30-cycle plus vertices 30 and 31 with no edges, both -1
+        g = from_edges(32, [(i, (i + 1) % 30) for i in range(30)])
+        signs = np.ones(32, dtype=np.int8)
+        signs[[30, 31]] = -1
+        s = OpinionVector.from_signs(signs)
+        assert uses_minority_side(g, s)
+        assert majority_step(g, s) == s == majority_step_reference(g, s)
+        # isolated majority vertices keep their sign too
+        signs[[30, 31]] = [1, -1]
+        signs[5] = -1
+        s = OpinionVector.from_signs(signs)
+        assert majority_step(g, s) == majority_step_reference(g, s)
+
+    def test_minority_clique_is_a_fixed_point(self):
+        # a -1 clique on 0..3 joined by the single edge 3-4 to a +1 cycle on
+        # 4..63: vertex 3 sees -3 + 1, vertex 4 sees +2 - 1, so nothing moves
+        edges = [(a, b) for a in range(4) for b in range(a + 1, 4)]
+        edges += [(4 + i, 4 + (i + 1) % 60) for i in range(60)] + [(3, 4)]
+        g = from_edges(64, edges)
+        signs = np.ones(64, dtype=np.int8)
+        signs[:4] = -1
+        s = OpinionVector.from_signs(signs)
+        assert uses_minority_side(g, s)
+        assert majority_step(g, s) == s == majority_step_reference(g, s)
+        traj = run(g, s, day_cap=10)
+        assert (traj.outcome.kind, traj.outcome.period, traj.outcome.day) == ("period_two", 1, 1)
+        assert [(d.bias, d.flips) for d in traj.days] == [(56, 0), (56, 0)]
+
+    def test_unanimous_state_is_fixed(self):
+        g = sample_gnp(300, 0.05, 8)
+        for sign in (1, -1):
+            s = OpinionVector.from_signs(np.full(300, sign, dtype=np.int8))
+            assert majority_step(g, s) == s == majority_step_reference(g, s)
+            traj = run(g, s, day_cap=3)
+            assert traj.days[1] == traj.days[0]
+            assert (traj.outcome.kind, traj.outcome.day, traj.outcome.sign) == ("unanimous", 0, sign)
+
+
+def reference_run(g, s0, day_cap):
+    """``run``'s contract replayed with the per-vertex reference step: the
+    list of (bias, flips, positives) per day and the outcome fields."""
+    states = [s0]
+    first_unanimous = 0 if s0.positives() in (0, g.n) else None
+    for d in range(1, day_cap + 1):
+        nxt = majority_step_reference(g, states[-1])
+        states.append(nxt)
+        if first_unanimous is None and nxt.positives() in (0, g.n):
+            first_unanimous = d
+        if nxt == states[-2]:
+            if first_unanimous is not None:
+                outcome = ("unanimous", first_unanimous, 1 if nxt.positives() else -1, 0)
+            else:
+                outcome = ("period_two", d, 0, 1)
+            break
+        if d >= 2 and nxt == states[-3]:
+            outcome = ("period_two", d, 0, 2)
+            break
+    else:
+        outcome = ("day_cap", day_cap, 0, 0)
+    days = [(states[0].bias(), 0, states[0].positives())]
+    days += [(b.bias(), b.hamming(a), b.positives()) for a, b in zip(states, states[1:])]
+    return days, outcome
+
+
+class TestRunMatchesReference:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=120),
+        p=st.floats(min_value=0.0, max_value=0.5),
+        minority_share=st.floats(min_value=0.0, max_value=0.5),
+        majority=st.sampled_from([1, -1]),
+        day_cap=st.integers(min_value=1, max_value=12),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    def test_biased_starts(self, n, p, minority_share, majority, day_cap, seed):
+        g = sample_gnp(n, p, seed)
+        s0 = with_minority(n, int(minority_share * n), majority, seed + 1)
+        traj = run(g, s0, day_cap)
+        o = traj.outcome
+        days = [(d.bias, d.flips, d.positives) for d in traj.days]
+        assert (days, (o.kind, o.day, o.sign, o.period)) == reference_run(g, s0, day_cap)
+
+
+def trajectory_rows(traj):
+    o = traj.outcome
+    return [[[d.bias, d.flips, d.positives] for d in traj.days],
+            [o.kind, o.day, o.sign, o.period], traj.day_cap]
+
+
+def test_run_digest_at_1e5():
+    # pinned so a change to the step or the run loop that moves any day of
+    # any trajectory shows up: a uniform start, starts with 3000 and with
+    # exactly n/16 minority vertices, and a swung balanced start
+    n = 10**5
+    g = sample_gnp(n, 2e-4, 2024)
+    starts = [
+        sample_uniform(n, 1),
+        sample_fixed_discrepancy(n, n - 2 * 3000, 2),
+        sample_fixed_discrepancy(n, -(n - 2 * (n // 16)), 3),
+        sample_initial(OpinionModel("morning_evening", c=1.0), n, 4)[0],
+    ]
+    rows = [trajectory_rows(run(g, s, 64)) for s in starts]
+    assert [r[0][-1][2] for r in rows] == [0, n, 0, n]
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == "2a602f64723a8ad2f28ee6c91cf313140b9cb2616367dbf6f105544073c03103"

@@ -233,6 +233,13 @@ class TestSerialization:
         assert np.array_equal(h.neighbors, g.neighbors)
         h.validate()
 
+    def test_dump_bytes(self, tmp_path):
+        # pinned so that how the arrays reach the file cannot change its bytes
+        path = tmp_path / "g.bin"
+        save_graph(sample_gnp(2000, 0.01, 5), path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "ec9eeda2db494275e59741d24bc1b15c7770c1135363b976a01372e1bee6cca5"
+
     def test_rejects_bad_magic(self, tmp_path):
         path = tmp_path / "bad.bin"
         path.write_bytes(b"NOTAGRPH" + b"\x00" * 40)

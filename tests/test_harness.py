@@ -85,6 +85,12 @@ class TestConfig:
         cfg2 = ExperimentConfig(n=50, p_spec=PSpec.lower(2.0), trials=3)
         assert config_from_dict(config_to_dict(cfg2)) == cfg2
 
+    def test_model_seed_round_trips(self):
+        cfg = small_cfg(model=OpinionModel("uniform", seed=11))
+        assert config_to_dict(cfg)["model"] == {"kind": "uniform", "seed": 11}
+        assert config_from_dict(config_to_dict(cfg)) == cfg
+        assert "seed" not in config_to_dict(small_cfg())["model"]
+
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown config keys"):
             config_from_dict({"n": 10, "p": 0.1, "pea": 2})

@@ -22,6 +22,7 @@ from majdyn import (
     census,
     day2_bias_experiment,
     majority_step,
+    neighbor_sums,
     psi,
     run,
     sample_fixed_discrepancy,
@@ -221,6 +222,24 @@ class TestCensus:
         )
         rep = census(g, r0, np.array([], dtype=np.int64), gamma=gamma, p=p)
         assert rep.almost_positive == expected
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_swing_neighbourhood_matches_int32_indicator(self, seed):
+        # an independent formula for the swing's neighbourhood: an int32
+        # matvec of the swing indicator over the whole adjacency
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(20, 400))
+        p = float(rng.uniform(0.005, 0.2))
+        g = sample_gnp(n, p, seed)
+        r0 = sample_morning(n, seed + 1)
+        _, swing = apply_swing(r0, float(rng.uniform(0, 2)), seed + 2)
+        indicator = np.zeros(n, dtype=np.int32)
+        indicator[swing] = 1
+        touches = (g._adjacency.astype(np.int32) @ indicator) > 0
+        unstable = neighbor_sums(g, r0) == 0
+        rep = census(g, r0, swing, gamma=0.1, p=p)
+        assert rep.unstable == np.count_nonzero(unstable)
+        assert rep.unstable_with_swing == np.count_nonzero(unstable & touches)
 
     def test_rejects_bad_arguments(self):
         g = path_graph(3)
