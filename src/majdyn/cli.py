@@ -180,18 +180,8 @@ def _cmd_run(args) -> int:
     errors = report.aggregates["errors"]
     _log(f"ran {cfg.trials} trials at n={cfg.n} p={cfg.resolved_p():.6g}; "
          f"unanimity fraction {report.aggregates['unanimity_fraction']:.3f}; errors {errors}")
-    if args.output:
-        for written in harness.write_report(report, args.output, args.format):
-            _log(f"wrote {written}")
-    elif args.format == "json":
-        sys.stdout.write(json.dumps(harness.report_to_dict(report), indent=2, allow_nan=False) + "\n")
-    else:
-        rows = [harness.trial_to_dict(t) for t in report.trials]
-        for row in rows:
-            row["bias_by_day"] = " ".join(str(b) for b in row["bias_by_day"])
-            for col in harness._CSV_COLUMNS:
-                row.setdefault(col, None)
-        _emit_rows(rows, harness._CSV_COLUMNS, args)
+    for written in harness.write_report(report, args.output or sys.stdout, args.format):
+        _log(f"wrote {written}")
     if errors == cfg.trials:
         _log(f"every trial failed; first error: {report.trials[0].error}")
         return 2

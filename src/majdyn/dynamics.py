@@ -34,38 +34,40 @@ import numpy as np
 
 from .graph import Graph, _gathered_neighbors
 
-_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
-
-
 class OpinionVector:
-    """One opinion per vertex, packed eight to a byte (bit 1 means +1).
+    """One opinion per vertex: a read-only int8 array of +1/-1.
 
-    Padding bits past ``n`` are always zero, so popcounts over the raw bytes
-    give the number of +1 vertices directly.
+    Vectors are immutable, so :meth:`signs` hands out the stored array
+    without a copy; a caller that wants to change signs copies it first.
+    The constructor takes ownership of an int8 array already known to hold
+    only +-1 and does not check it; :meth:`from_signs` is the checked
+    constructor.
     """
 
-    __slots__ = ("n", "bits")
+    __slots__ = ("n", "_signs")
 
-    def __init__(self, n: int, bits: np.ndarray):
-        self.n = n
-        self.bits = bits
+    def __init__(self, signs: np.ndarray):
+        signs.flags.writeable = False
+        self.n = signs.size
+        self._signs = signs
 
     @classmethod
     def from_signs(cls, signs) -> "OpinionVector":
+        """Checked constructor; copies ``signs``, whose values must each
+        equal +1 or -1 exactly."""
         signs = np.asarray(signs)
         if signs.ndim != 1 or signs.size == 0:
             raise ValueError("need a non-empty 1-d sign array")
-        if not np.all(np.abs(signs.astype(np.int64)) == 1):
+        if not np.all((signs == 1) | (signs == -1)):
             raise ValueError("opinions must be +1 or -1")
-        return cls(int(signs.size), np.packbits(signs > 0))
+        return cls(signs.astype(np.int8))
 
     def signs(self) -> np.ndarray:
-        """Unpacked int8 array of +1/-1 values."""
-        b = np.unpackbits(self.bits, count=self.n)
-        return ((b.astype(np.int8) << 1) - 1)
+        """The read-only int8 array of +1/-1 values."""
+        return self._signs
 
     def positives(self) -> int:
-        return int(_POPCOUNT[self.bits].sum())
+        return int(np.count_nonzero(self._signs > 0))
 
     def bias(self) -> int:
         """Sum of all opinions, 2*positives - n."""
@@ -74,28 +76,23 @@ class OpinionVector:
     def hamming(self, other: "OpinionVector") -> int:
         if other.n != self.n:
             raise ValueError("size mismatch")
-        return int(_POPCOUNT[self.bits ^ other.bits].sum())
+        return int(np.count_nonzero(self._signs != other._signs))
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, OpinionVector)
             and other.n == self.n
-            and np.array_equal(other.bits, self.bits)
+            and np.array_equal(other._signs, self._signs)
         )
 
     def __hash__(self):
-        return hash((self.n, self.bits.tobytes()))
+        return hash(self._signs.tobytes())
 
     def __neg__(self) -> "OpinionVector":
-        return _pack(-self.signs())
+        return OpinionVector(-self._signs)
 
     def __repr__(self) -> str:
         return f"OpinionVector(n={self.n}, bias={self.bias()})"
-
-
-def _pack(signs: np.ndarray) -> OpinionVector:
-    """Packing constructor for sign arrays already known to be +-1."""
-    return OpinionVector(signs.size, np.packbits(signs > 0))
 
 
 def bias(s: OpinionVector) -> int:
@@ -158,7 +155,7 @@ def majority_step(g: Graph, s: OpinionVector) -> OpinionVector:
     """One synchronous day of the dynamics; the input is not modified."""
     if s.n != g.n:
         raise ValueError("opinion vector does not match graph size")
-    return _pack(_step_signs(g, s.signs(), s.positives()))
+    return OpinionVector(_step_signs(g, s.signs(), s.positives()))
 
 
 def majority_step_reference(g: Graph, s: OpinionVector) -> OpinionVector:

@@ -7,7 +7,7 @@ fresh graph ("annealed"); ``quenched=True`` fixes one graph across trials.
 
 Reports are plain dataclasses; ``write_report`` emits bit-stable CSV (one
 row per trial, aggregates in a sibling file) or a single JSON document with
-a fixed key order.
+a fixed key order, to a path or to an open text stream.
 """
 
 from __future__ import annotations
@@ -572,33 +572,43 @@ def aggregates_path(path) -> Path:
     return p.with_name(p.stem + ".aggregates" + (p.suffix or ".csv"))
 
 
-def write_report(report: ExperimentReport, path, fmt: str = "csv") -> list[Path]:
-    """Write the report; returns the paths written.
+def write_report(report: ExperimentReport, dest, fmt: str = "csv") -> list[Path]:
+    """Write the report to ``dest``, a path or an open text stream.
 
-    csv: one row per trial at ``path`` plus aggregates in a sibling
-    ``*.aggregates.csv`` file.  json: one document.  Output is bit-stable
-    for a fixed report.
+    csv: one row per trial, and for a path the aggregates too, in a sibling
+    ``*.aggregates.csv`` file.  json: one document.  Returns the paths
+    written, which is ``[]`` for a stream.  Output is bit-stable for a fixed
+    report, and a stream receives the same bytes as the file at a path.
     """
-    path = Path(path)
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"unknown report format {fmt!r}")
+    if hasattr(dest, "write"):
+        _write_document(report, dest, fmt)
+        return []
+    path = Path(dest)
     try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            _write_document(report, fh, fmt)
         if fmt == "json":
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                json.dump(report_to_dict(report), fh, indent=2, allow_nan=False)
-                fh.write("\n")
             return [path]
-        if fmt == "csv":
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(_CSV_COLUMNS)
-                for t in report.trials:
-                    writer.writerow(_csv_cell(getattr(t, col)) for col in _CSV_COLUMNS)
-            agg_file = aggregates_path(path)
-            with open(agg_file, "w", encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(("key", "value"))
-                for key, value in report.aggregates.items():
-                    writer.writerow((key, _csv_cell(value)))
-            return [path, agg_file]
+        agg_file = aggregates_path(path)
+        with open(agg_file, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(("key", "value"))
+            for key, value in report.aggregates.items():
+                writer.writerow((key, _csv_cell(value)))
+        return [path, agg_file]
     except OSError as exc:
         raise OSError(f"cannot write report to {path}: {exc}") from exc
-    raise ValueError(f"unknown report format {fmt!r}")
+
+
+def _write_document(report: ExperimentReport, fh, fmt: str) -> None:
+    """The trial rows (csv) or the whole document (json) to ``fh``."""
+    if fmt == "json":
+        json.dump(report_to_dict(report), fh, indent=2, allow_nan=False)
+        fh.write("\n")
+        return
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(_CSV_COLUMNS)
+    for t in report.trials:
+        writer.writerow(_csv_cell(getattr(t, col)) for col in _CSV_COLUMNS)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import OpinionVector, _neighbor_sums, _pack, majority_step
+from .dynamics import OpinionVector, _neighbor_sums, majority_step
 from .graph import Graph, _gathered_neighbors, _rng
 
 MODEL_KINDS = ("uniform", "fixed_discrepancy", "morning_evening")
@@ -58,14 +58,14 @@ def sample_uniform(n: int, seed) -> OpinionVector:
     if n < 1:
         raise ValueError("n must be at least 1")
     rng = _rng(seed)
-    return _pack((2 * rng.integers(0, 2, size=n) - 1).astype(np.int8))
+    return OpinionVector((2 * rng.integers(0, 2, size=n) - 1).astype(np.int8))
 
 
 def _with_positives(n: int, k: int, rng) -> OpinionVector:
     signs = np.full(n, -1, dtype=np.int8)
     if k:
         signs[rng.choice(n, size=k, replace=False)] = 1
-    return _pack(signs)
+    return OpinionVector(signs)
 
 
 def sample_morning(n: int, seed) -> OpinionVector:
@@ -90,21 +90,22 @@ def swing_count(n: int, c: float) -> int:
 def apply_swing(r0: OpinionVector, c: float, seed) -> tuple[OpinionVector, np.ndarray]:
     """Flip round(c*sqrt(n)) uniformly chosen -1 vertices of ``r0`` to +1.
 
-    Returns the perturbed vector and the sorted flipped vertex ids.  Raises
-    when fewer -1 vertices are available than the swing size.
+    Returns the perturbed vector and the sorted flipped vertex ids; ``r0``
+    is left unchanged (and returned itself when the swing is empty).
+    Raises when fewer -1 vertices are available than the swing size.
     """
     if c < 0:
         raise ValueError("swing coefficient must be non-negative")
     k = swing_count(r0.n, c)
-    signs = r0.signs()
-    negatives = np.flatnonzero(signs < 0)
+    negatives = np.flatnonzero(r0.signs() < 0)
     if k > negatives.size:
         raise ValueError(f"swing of {k} exceeds the {negatives.size} available -1 vertices")
     if k == 0:
-        return OpinionVector(r0.n, r0.bits.copy()), np.empty(0, dtype=np.int64)
+        return r0, np.empty(0, dtype=np.int64)
     swing = np.sort(_rng(seed).choice(negatives, size=k, replace=False))
+    signs = r0.signs().copy()
     signs[swing] = 1
-    return _pack(signs), swing
+    return OpinionVector(signs), swing
 
 
 def sample_initial(model: OpinionModel, n: int, seed) -> tuple[OpinionVector, np.ndarray | None]:
@@ -172,14 +173,11 @@ def census(g: Graph, r0: OpinionVector, swing_set, gamma: float, p: float) -> Ce
 def day2_bias_experiment(g: Graph, c: float, seed) -> int:
     """Bias after two days started from a swung balanced state.
 
-    Draws a fresh balanced state and swing from ``seed`` (two independent
-    substreams), applies two majority steps, and returns the final opinion
-    sum.
+    Draws a fresh balanced state and swing from ``seed`` as
+    :func:`sample_initial` does, applies two majority steps, and returns
+    the final opinion sum.
     """
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    morning_seed, swing_seed = ss.spawn(2)
-    r0 = sample_morning(g.n, morning_seed)
-    swung, _ = apply_swing(r0, c, swing_seed)
+    swung, _ = sample_initial(OpinionModel("morning_evening", c=c), g.n, seed)
     s1 = majority_step(g, swung)
     s2 = majority_step(g, s1)
     return s2.bias()

@@ -82,6 +82,15 @@ class TestRun:
         write_report(report, lib_path, "json")
         assert cli_path.read_bytes() == lib_path.read_bytes()
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_stdout_matches_output_file(self, capsys, tmp_path, fmt):
+        argv = ["run", "--n", "60", "--p", "0.1", "--trials", "3", "--seed", "1", "--format", fmt]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        path = tmp_path / f"r.{fmt}"
+        assert run_cli(capsys, *argv, "-o", str(path))[0] == 0
+        assert out.encode("utf-8") == path.read_bytes()
+
     def test_p_regime_flag(self, capsys):
         code, out, _ = run_cli(
             capsys, "run", "--n", "500", "--p-regime", "upper",
@@ -291,6 +300,27 @@ class TestFailurePaths:
         assert code == 0
         assert "errors 1" in err
         assert [r["outcome"] for r in parse_csv(out)].count("error") == 1
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_failed_trial_stdout_matches_output_file(self, capsys, monkeypatch, tmp_path, fmt):
+        real = majdyn.harness.run
+
+        def run(g, s0, day_cap):  # fails the same trials on every invocation
+            if s0.signs()[0] > 0:
+                raise RuntimeError('bad, "quoted" value')
+            return real(g, s0, day_cap)
+
+        monkeypatch.setattr(majdyn.harness, "run", run)
+        argv = ["run", "--n", "40", "--p", "0.1", "--trials", "6", "--seed", "5", "--format", fmt]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        rows = json.loads(out)["trials"] if fmt == "json" else parse_csv(out)
+        errors = [r["error"] for r in rows if r["outcome"] == "error"]
+        assert 0 < len(errors) < len(rows)
+        assert set(errors) == {'RuntimeError: bad, "quoted" value'}
+        path = tmp_path / f"r.{fmt}"
+        assert run_cli(capsys, *argv, "-o", str(path))[0] == 0
+        assert out.encode("utf-8") == path.read_bytes()
 
     def test_unwritable_output_is_runtime_failure(self, capsys, tmp_path):
         code, _, err = run_cli(

@@ -71,6 +71,24 @@ class TestOpinionVector:
         a = vec(1, -1, 1)
         assert list((-a).signs()) == [-1, 1, -1]
 
+    @pytest.mark.parametrize("bad", [1.5, 0.5, -1.2, np.nan])
+    def test_rejects_non_integer_values(self, bad):
+        with pytest.raises(ValueError):
+            OpinionVector.from_signs(np.array([bad, -1.0, 1.0]))
+
+    def test_from_signs_copies_its_input(self):
+        given_signs = np.array([1, -1, 1], dtype=np.int8)
+        s = OpinionVector.from_signs(given_signs)
+        given_signs[0] = -1
+        assert list(s.signs()) == [1, -1, 1]
+
+    def test_signs_are_read_only(self):
+        s = vec(1, -1, 1)
+        g = path_graph(3)
+        for v in (s, -s, majority_step(g, s), sample_uniform(5, 0)):
+            with pytest.raises(ValueError):
+                v.signs()[0] = 1
+
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.sampled_from([-1, 1]), min_size=1, max_size=200))
     def test_pack_round_trip(self, signs):

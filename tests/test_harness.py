@@ -7,6 +7,7 @@ trial rows.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 from dataclasses import replace
@@ -299,6 +300,15 @@ class TestWriteReport:
             write_report(report, path, "json")
             blobs.append(path.read_bytes())
         assert blobs[0] == blobs[1] == blobs[2]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_stream_gets_the_file_bytes_and_no_paths(self, tmp_path, fmt):
+        report = run_experiment(small_cfg(trials=4))
+        stream = io.StringIO()
+        assert write_report(report, stream, fmt) == []
+        path = tmp_path / f"r.{fmt}"
+        write_report(report, path, fmt)
+        assert stream.getvalue().encode("utf-8") == path.read_bytes()
 
     def test_unknown_format_rejected(self, tmp_path):
         report = run_experiment(small_cfg(trials=2))

@@ -104,6 +104,14 @@ class TestApplySwing:
         untouched = np.setdiff1d(np.arange(100), swing)
         assert np.array_equal(base[untouched], new[untouched])
 
+    def test_leaves_r0_unchanged(self):
+        r0 = sample_morning(100, 3)
+        before = r0.signs().copy()
+        swung, _ = apply_swing(r0, 1.0, 4)
+        assert swung != r0
+        assert np.array_equal(r0.signs(), before)
+        assert apply_swing(r0, 0.0, 4)[0] is r0  # vectors are immutable
+
     def test_rejects_when_not_enough_negatives(self):
         all_plus = OpinionVector.from_signs(np.ones(100, dtype=np.int8))
         with pytest.raises(ValueError):
