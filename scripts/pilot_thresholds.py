@@ -48,7 +48,7 @@ def pilot_unanimity(trials):
 def pilot_census(trials):
     cfg = ExperimentConfig(
         n=5000, p=0.02, trials=trials, master_seed=1002,
-        model=OpinionModel("morning_evening", c=1.0), gamma=0.1, c=1.0,
+        model=OpinionModel("morning_evening", c=1.0), gamma=0.1,
     )
     report = timed("census runs", lambda: run_experiment(cfg))
     agg = report.aggregates

@@ -11,7 +11,6 @@ from .dynamics import (
     OpinionVector,
     Outcome,
     Trajectory,
-    bias,
     majority_step,
     majority_step_reference,
     neighbor_sum,

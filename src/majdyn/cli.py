@@ -11,8 +11,6 @@ still written).
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import sys
 from dataclasses import replace
 
@@ -44,7 +42,7 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="majdyn", description="Majority dynamics experiments on G(n, p).")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
-    def add_common(p, with_model=True):
+    def add_common(p):
         p.add_argument("--config", help="JSON config file; explicit flags override it")
         p.add_argument("--n", type=int, help="vertex count")
         p.add_argument("--p", type=float, help="edge density")
@@ -62,11 +60,11 @@ def _build_parser() -> _Parser:
         p.add_argument("-o", "--output", help="output file (default: stdout)")
         p.add_argument("-q", "--quiet", action="store_true",
                        help="suppress progress logs on stderr")
-        if with_model:
-            p.add_argument("--model", choices=tuple(_MODEL_NAMES), help="initial opinion model")
-            p.add_argument("--d", type=int, help="opinion sum for the fixed model")
-            p.add_argument("--c", type=float, help="swing coefficient for the morning model")
-            p.add_argument("--gamma", type=float, help="census threshold coefficient")
+        p.add_argument("--model", choices=tuple(_MODEL_NAMES), help="initial opinion model")
+        p.add_argument("--d", type=int, help="opinion sum for the fixed model")
+        p.add_argument("--c", type=float,
+                       help="swing coefficient for the morning model (sets model.c)")
+        p.add_argument("--gamma", type=float, help="census threshold coefficient")
 
     p_run = sub.add_parser(
         "run", help="run one experiment and report per-trial rows",
@@ -109,7 +107,9 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _config_from_args(args) -> harness.ExperimentConfig:
+def _config_from_args(args, model_kind: str | None = None) -> harness.ExperimentConfig:
+    """The config file, then the flags over it; ``model_kind`` switches the
+    model's kind, keeping its parameters, before the config is validated."""
     if args.config:
         cfg = harness.load_config(args.config)
     else:
@@ -139,39 +139,23 @@ def _config_from_args(args) -> harness.ExperimentConfig:
         overrides["quenched"] = args.quenched
     if args.workers is not None:
         overrides["workers"] = args.workers
-    if getattr(args, "model", None) is not None:
-        overrides["model"] = OpinionModel(_MODEL_NAMES[args.model],
-                                          d=args.d if args.d is not None else 0,
-                                          c=args.c if args.c is not None else 0.0)
-    elif getattr(args, "d", None) is not None:
-        overrides["model"] = OpinionModel("fixed_discrepancy", d=args.d)
-    if getattr(args, "c", None) is not None:
-        overrides["c"] = args.c
-    if getattr(args, "gamma", None) is not None:
+    model = cfg.model
+    if args.model is not None:
+        model = OpinionModel(_MODEL_NAMES[args.model])
+    elif args.d is not None:
+        model = OpinionModel("fixed_discrepancy")
+    if args.d is not None:
+        model = replace(model, d=args.d)
+    if args.c is not None:
+        model = replace(model, c=args.c)
+    if model_kind is not None:
+        model = replace(model, kind=model_kind)
+    overrides["model"] = model
+    if args.gamma is not None:
         overrides["gamma"] = args.gamma
     cfg = replace(cfg, **overrides)
     cfg.validate()
     return cfg
-
-
-def _emit_rows(rows, columns, args) -> None:
-    """Write a list-of-dicts table as CSV or JSON to -o or stdout."""
-    if args.format == "json":
-        text = json.dumps({"rows": list(rows)}, indent=2, allow_nan=False) + "\n"
-    else:
-        import io
-
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow("" if row[c] is None else row[c] for c in columns)
-        text = buf.getvalue()
-    if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def _cmd_run(args) -> int:
@@ -203,7 +187,7 @@ def _cmd_sweep(args) -> int:
         table = harness.bias_sweep(cfg, d_values)
         columns = ("d", "trials", "unanimity_fraction", "median_unanimity_day",
                    "positive_sign_fraction")
-        _emit_rows(table.rows, columns, args)
+        harness.write_table(table.rows, columns, args.output or sys.stdout, args.format)
         return 0
     rows = []
     for raw in args.p_values.split(","):
@@ -221,28 +205,27 @@ def _cmd_sweep(args) -> int:
                 "median_unanimity_day": report.aggregates["median_unanimity_day"],
             }
         )
-    _emit_rows(rows, ("p", "trials", "unanimity_fraction", "median_unanimity_day"), args)
+    harness.write_table(rows, ("p", "trials", "unanimity_fraction", "median_unanimity_day"),
+                        args.output or sys.stdout, args.format)
     return 0
 
 
 def _cmd_census(args) -> int:
-    cfg = _config_from_args(args)
-    if cfg.model.kind != "morning_evening":
-        cfg = replace(cfg, model=OpinionModel("morning_evening", c=cfg.effective_c()))
+    cfg = _config_from_args(args, model_kind="morning_evening")
     if cfg.gamma is None:
         raise ValueError("census requires --gamma")
-    cfg.validate()
     table = harness.census_experiment(cfg)
     rows = [{"key": k, "value": v} for k, v in table.alpha_quantiles.items()]
     rows.append({"key": "positive_excess_fraction", "value": table.positive_excess_fraction})
-    _emit_rows(rows, ("key", "value"), args)
+    harness.write_table(rows, ("key", "value"), args.output or sys.stdout, args.format)
     return 0
 
 
 def _cmd_growth(args) -> int:
     cfg = _config_from_args(args)
     table = harness.growth_ratio_experiment(cfg)
-    _emit_rows(table.rows, ("day", "median_ratio", "sqrt_np", "used", "skipped_zero_bias"), args)
+    harness.write_table(table.rows, ("day", "median_ratio", "sqrt_np", "used", "skipped_zero_bias"),
+                        args.output or sys.stdout, args.format)
     return 0
 
 
@@ -255,8 +238,8 @@ def _cmd_contraction(args) -> int:
         floor = int(args.bias_floor)
     table = harness.contraction_experiment(cfg, floor)
     rows = [dict(r, minority_by_day=" ".join(str(v) for v in r["minority_by_day"])) for r in table.rows]
-    _emit_rows(rows, ("trial", "t_star", "minority_share_next", "minority_by_day",
-                      "monotone_after_jump"), args)
+    harness.write_table(rows, ("trial", "t_star", "minority_share_next", "minority_by_day",
+                               "monotone_after_jump"), args.output or sys.stdout, args.format)
     _log(f"qualifying trials: {table.qualifying}; "
          f"minority share <= 0.45 next day: {table.small_minority_fraction}")
     return 0
@@ -269,7 +252,8 @@ def _cmd_verify_lemmas(args) -> int:
          "result": "PASS" if r.passed else "FAIL"}
         for r in results
     ]
-    _emit_rows(rows, ("check", "cases", "worst", "bound", "result"), args)
+    harness.write_table(rows, ("check", "cases", "worst", "bound", "result"),
+                        args.output or sys.stdout, args.format)
     failed = [r.name for r in results if not r.passed]
     if failed:
         _log(f"FAILED checks: {', '.join(failed)}")

@@ -95,10 +95,6 @@ class OpinionVector:
         return f"OpinionVector(n={self.n}, bias={self.bias()})"
 
 
-def bias(s: OpinionVector) -> int:
-    return s.bias()
-
-
 # the minority-side sums are used while 16 * minority <= n
 _MINORITY_SHARE = 16
 

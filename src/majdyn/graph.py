@@ -235,7 +235,6 @@ class JumblednessEstimate:
 
     beta_hat: float
     pairs_tested: int
-    max_discrepancy: float
     min_degree: int
 
 
@@ -312,7 +311,7 @@ def estimate_jumbledness(
         if disc > worst:
             worst = disc
     mind = int(g.degrees.min())
-    return JumblednessEstimate(beta_hat=worst, pairs_tested=pairs, max_discrepancy=worst, min_degree=mind)
+    return JumblednessEstimate(beta_hat=worst, pairs_tested=pairs, min_degree=mind)
 
 
 def save_graph(g: Graph, path) -> None:

@@ -5,9 +5,11 @@ split into graph / opinion / swing substreams, so results are identical for
 any worker count and for repeated runs.  By default every trial samples a
 fresh graph ("annealed"); ``quenched=True`` fixes one graph across trials.
 
-Reports are plain dataclasses; ``write_report`` emits bit-stable CSV (one
-row per trial, aggregates in a sibling file) or a single JSON document with
-a fixed key order, to a path or to an open text stream.
+Reports are plain dataclasses.  One writer emits every table, bit-stable,
+to a path or to an open text stream: ``write_report`` gives CSV (one row per
+trial, aggregates in a sibling file) or a single JSON document with a fixed
+key order, and ``write_table`` gives the CLI's tables of rows as CSV or as a
+``{"rows": [...]}`` JSON document.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ import numpy as np
 from .dynamics import run
 from .graph import Graph, estimate_jumbledness, sample_gnp
 from .opinions import (
-    CensusReport,
     OpinionModel,
     apply_swing,
     census,
@@ -75,11 +76,9 @@ class ExperimentConfig:
     master_seed: int = 0
     model: OpinionModel = field(default_factory=OpinionModel)
     gamma: float | None = None
-    c: float | None = None
     day_cap: int = 64
     quenched: bool = False
     workers: int = 1
-    outputs: tuple[str, ...] = ()
 
     def resolved_p(self) -> float:
         if (self.p is None) == (self.p_spec is None):
@@ -88,11 +87,6 @@ class ExperimentConfig:
         if not 0.0 < value <= 1.0:
             raise ValueError(f"resolved density {value} outside (0, 1]")
         return value
-
-    def effective_c(self) -> float:
-        if self.c is not None:
-            return self.c
-        return self.model.c
 
     def validate(self) -> None:
         if self.n < 1:
@@ -105,16 +99,8 @@ class ExperimentConfig:
             raise ValueError("workers must be at least 1")
         if self.gamma is not None and self.gamma < 0:
             raise ValueError("gamma must be non-negative")
-        if self.c is not None and self.c < 0:
-            raise ValueError("swing coefficient must be non-negative")
-        for fmt in self.outputs:
-            if fmt not in ("csv", "json"):
-                raise ValueError(f"unknown output format {fmt!r}")
         self.resolved_p()
-        model = self.model
-        if model.kind == "morning_evening" and self.c is not None:
-            model = replace(model, c=self.c)
-        model.validate(self.n)
+        self.model.validate(self.n)
 
 
 @dataclass(frozen=True)
@@ -153,12 +139,6 @@ def _trial_seed_sequence(master_seed: int, index: int) -> np.random.SeedSequence
     return np.random.SeedSequence(master_seed, spawn_key=(index,))
 
 
-def _census_for_trial(cfg: ExperimentConfig, g: Graph, r0, swing, p: float) -> CensusReport | None:
-    if cfg.gamma is None or cfg.model.kind != "morning_evening":
-        return None
-    return census(g, r0, swing, cfg.gamma, p)
-
-
 def _run_trial(cfg: ExperimentConfig, index: int, shared_graph: Graph | None = None) -> TrialRecord:
     ss = _trial_seed_sequence(cfg.master_seed, index)
     seed_id = int(ss.generate_state(1, np.uint64)[0])
@@ -174,9 +154,10 @@ def _run_trial(cfg: ExperimentConfig, index: int, shared_graph: Graph | None = N
             s0 = sample_fixed_discrepancy(cfg.n, cfg.model.d, opinion_ss)
         else:
             r0 = sample_morning(cfg.n, opinion_ss)
-            s0, swing = apply_swing(r0, cfg.effective_c(), swing_ss)
+            s0, swing = apply_swing(r0, cfg.model.c, swing_ss)
             swing_size = int(swing.size)
-            census_report = _census_for_trial(cfg, g, r0, swing, p)
+            if cfg.gamma is not None:
+                census_report = census(g, r0, swing, cfg.gamma, p)
         traj = run(g, s0, cfg.day_cap)
         out = traj.outcome
         record = TrialRecord(
@@ -272,8 +253,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         records = [_run_trial(cfg, i, shared) for i in range(cfg.trials)]
     else:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+            # one chunk per worker: a quenched graph is pickled once per chunk
             records = list(
-                pool.map(_run_trial, [cfg] * cfg.trials, range(cfg.trials), [shared] * cfg.trials)
+                pool.map(_run_trial, [cfg] * cfg.trials, range(cfg.trials), [shared] * cfg.trials,
+                         chunksize=-(-cfg.trials // cfg.workers))
             )
     trials = tuple(records)
     return ExperimentReport(cfg, trials, compute_aggregates(cfg, trials))
@@ -449,14 +432,10 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     out["model"] = model_to_dict(cfg.model)
     if cfg.gamma is not None:
         out["gamma"] = cfg.gamma
-    if cfg.c is not None:
-        out["c"] = cfg.c
     out["day_cap"] = cfg.day_cap
     out["quenched"] = cfg.quenched
     # workers is deliberately not echoed: results are worker-count
     # independent, and reports must be byte-identical either way
-    if cfg.outputs:
-        out["outputs"] = list(cfg.outputs)
     return out
 
 
@@ -467,13 +446,14 @@ def _check_keys(data: dict, allowed: tuple[str, ...], where: str) -> None:
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    """Inverse of :func:`config_to_dict`; unknown keys are rejected."""
+    """Inverse of :func:`config_to_dict`; unknown keys are rejected.  A
+    top-level ``c``, as older documents carry it, sets ``model.c``."""
     if not isinstance(data, dict):
         raise ValueError("config must be a mapping")
     _check_keys(
         data,
         ("n", "p", "p_spec", "trials", "master_seed", "model", "gamma", "c",
-         "day_cap", "quenched", "workers", "outputs"),
+         "day_cap", "quenched", "workers"),
         "config",
     )
     if "n" not in data:
@@ -486,6 +466,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     if "model" in data:
         _check_keys(data["model"], ("kind", "d", "c", "seed"), "model")
         model = OpinionModel(**data["model"])
+    if data.get("c") is not None:
+        model = replace(model, c=data["c"])
     return ExperimentConfig(
         n=int(data["n"]),
         p=data.get("p"),
@@ -494,11 +476,9 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         master_seed=int(data.get("master_seed", 0)),
         model=model,
         gamma=data.get("gamma"),
-        c=data.get("c"),
         day_cap=int(data.get("day_cap", 64)),
         quenched=bool(data.get("quenched", False)),
         workers=int(data.get("workers", 1)),
-        outputs=tuple(data.get("outputs", ())),
     )
 
 
@@ -580,35 +560,40 @@ def write_report(report: ExperimentReport, dest, fmt: str = "csv") -> list[Path]
     written, which is ``[]`` for a stream.  Output is bit-stable for a fixed
     report, and a stream receives the same bytes as the file at a path.
     """
+    if fmt == "json":
+        return _write(dest, fmt, report_to_dict(report))
+    written = _write(dest, fmt, map(vars, report.trials), _CSV_COLUMNS)
+    if written:  # a path, so the aggregates go to its sibling file
+        rows = ({"key": key, "value": value} for key, value in report.aggregates.items())
+        written += _write(aggregates_path(dest), fmt, rows, ("key", "value"))
+    return written
+
+
+def write_table(rows, columns, dest, fmt: str = "csv") -> None:
+    """Write dict rows to ``dest``, a path or an open text stream: as CSV
+    under ``columns``, or as the JSON document ``{"rows": [...]}``."""
+    _write(dest, fmt, {"rows": list(rows)} if fmt == "json" else rows, columns)
+
+
+def _write(dest, fmt: str, content, columns=()) -> list[Path]:
+    """``content`` as one JSON document, or its dict rows as CSV under
+    ``columns``, to a path or an open text stream; returns the path
+    written, as a one-item list, or ``[]`` for a stream."""
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown report format {fmt!r}")
-    if hasattr(dest, "write"):
-        _write_document(report, dest, fmt)
-        return []
-    path = Path(dest)
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            _write_document(report, fh, fmt)
-        if fmt == "json":
-            return [path]
-        agg_file = aggregates_path(path)
-        with open(agg_file, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(("key", "value"))
-            for key, value in report.aggregates.items():
-                writer.writerow((key, _csv_cell(value)))
-        return [path, agg_file]
-    except OSError as exc:
-        raise OSError(f"cannot write report to {path}: {exc}") from exc
-
-
-def _write_document(report: ExperimentReport, fh, fmt: str) -> None:
-    """The trial rows (csv) or the whole document (json) to ``fh``."""
+    if not hasattr(dest, "write"):
+        try:
+            with open(dest, "w", encoding="utf-8", newline="") as fh:
+                _write(fh, fmt, content, columns)
+        except OSError as exc:
+            raise OSError(f"cannot write report to {dest}: {exc}") from exc
+        return [Path(dest)]
     if fmt == "json":
-        json.dump(report_to_dict(report), fh, indent=2, allow_nan=False)
-        fh.write("\n")
-        return
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(_CSV_COLUMNS)
-    for t in report.trials:
-        writer.writerow(_csv_cell(getattr(t, col)) for col in _CSV_COLUMNS)
+        json.dump(content, dest, indent=2, allow_nan=False)
+        dest.write("\n")
+    else:
+        writer = csv.writer(dest, lineterminator="\n")
+        writer.writerow(columns)
+        for row in content:
+            writer.writerow(_csv_cell(row[col]) for col in columns)
+    return []

@@ -29,8 +29,9 @@ class OpinionModel:
     """Which initial assignment to draw.
 
     d is the opinion sum for "fixed_discrepancy" (parity must match n);
-    c scales the swing size for "morning_evening"; seed is only used when
-    sampling outside an experiment (the harness derives per-trial seeds).
+    c scales the swing size for "morning_evening"; each must stay zero for
+    the other kinds.  seed is only used when sampling outside an experiment
+    (the harness derives per-trial seeds).
     """
 
     kind: str = "uniform"
@@ -41,6 +42,10 @@ class OpinionModel:
     def validate(self, n: int) -> None:
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown opinion model kind {self.kind!r}")
+        if self.c and self.kind != "morning_evening":
+            raise ValueError("swing coefficient c applies only to the morning_evening model")
+        if self.d and self.kind != "fixed_discrepancy":
+            raise ValueError("opinion sum d applies only to the fixed_discrepancy model")
         if self.kind == "fixed_discrepancy":
             if abs(self.d) > n:
                 raise ValueError("opinion sum magnitude cannot exceed n")

@@ -157,7 +157,7 @@ def test_c06_fast_unanimity_at_desk_scale():
 def test_c07_almost_positive_excess():
     cfg = ExperimentConfig(
         n=5000, p=0.02, trials=50, master_seed=1002,
-        model=OpinionModel("morning_evening", c=1.0), gamma=0.1, c=1.0,
+        model=OpinionModel("morning_evening", c=1.0), gamma=0.1,
     )
     report = run_experiment(cfg)
     positive = report.aggregates["positive_excess_fraction"]

@@ -269,6 +269,106 @@ class TestVerifyLemmas:
         assert digest == "d497b258f40a4fd28db4b386de3652ee0c4485c92ba49574d98e7fcc7c17a524"
 
 
+# every command whose output is a table of rows, with small fixed arguments
+TABLE_COMMANDS = {
+    "census": ["census", "--n", "200", "--p", "0.1", "--trials", "4", "--seed", "3",
+               "--gamma", "0.1", "--c", "1.0"],
+    "growth": ["growth", "--n", "200", "--p", "0.1", "--trials", "5", "--seed", "4"],
+    "d-sweep": ["sweep", "--n", "100", "--p", "0.1", "--trials", "5", "--seed", "2",
+                "--d-values", "0,10,100"],
+    "p-sweep": ["sweep", "--n", "100", "--trials", "4", "--seed", "2", "--p-values", "0.05,0.2"],
+    "contraction": ["contraction", "--n", "300", "--p", "0.1", "--trials", "5", "--seed", "5",
+                    "--bias-floor", "10"],
+    "verify-lemmas": ["verify-lemmas", "--max-trials", "10", "--seed", "3"],
+}
+
+# sha256 of each table's stdout, taken when the CLI still had its own writer
+TABLE_DIGESTS = {
+    ("census", "csv"): "9984a186b959e45ad89cde2f5316b937693bbf3b2ebf240753d15b4b33a1d78b",
+    ("census", "json"): "5821a06615b02324fe3069100579e43bcd336afb5f82ac677a256281f23c6914",
+    ("growth", "csv"): "3a739c21710da3b79aae0885fb705dd7e68de03f5a1a1271330e3ec045c42e66",
+    ("growth", "json"): "51d597c3191487fdf49b205a39ecba5063e1178b5e0cc57ce8e91ca1694541c3",
+    ("d-sweep", "csv"): "e589f2c1c45aac523a74cfd356fcf8b43720cc78849d9b51f3c903c7fef5b2e5",
+    ("d-sweep", "json"): "1a98421bd65927e62f72fb1191eb6614537da4311e4d40a185af2607f66f35cf",
+    ("p-sweep", "csv"): "2d19d05e0cf26dee81eb86a2dfd9313da79d73fe3bb608be160f9439feffec47",
+    ("p-sweep", "json"): "e8c3f545f4c79128ca3679e8ffe201c42440d9ccec4b1c420f0aaac1f4fc8123",
+    ("contraction", "csv"): "9c02081a93295db01e1d23a4972c3536372ef34c1f56cf2a883bcb04cc303acf",
+    ("contraction", "json"): "490694acf8ff8ace0ba24645186408d4b44b0f362961f8b747dea572e1e7b9ef",
+}
+
+
+class TestTables:
+    @pytest.mark.parametrize("name, fmt", sorted(TABLE_DIGESTS))
+    def test_stdout_bytes_pinned(self, capsys, name, fmt):
+        code, out, _ = run_cli(capsys, *TABLE_COMMANDS[name], "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == TABLE_DIGESTS[name, fmt]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("name", sorted(TABLE_COMMANDS))
+    def test_stdout_matches_output_file(self, capsys, tmp_path, name, fmt):
+        argv = [*TABLE_COMMANDS[name], "--format", fmt, "-q"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and out
+        path = tmp_path / f"t.{fmt}"
+        code, file_out, _ = run_cli(capsys, *argv, "-o", str(path))
+        assert code == 0 and file_out == ""
+        assert out.encode("utf-8") == path.read_bytes()
+
+    @pytest.mark.parametrize("name", sorted(TABLE_COMMANDS))
+    def test_unwritable_output_is_runtime_failure(self, capsys, tmp_path, name):
+        path = tmp_path / "no_dir" / "t.csv"
+        code, out, err = run_cli(capsys, *TABLE_COMMANDS[name], "-q", "-o", str(path))
+        assert code == 2
+        assert out == ""
+        assert str(path) in err
+
+    def test_census_switches_the_model_before_validating(self, capsys, tmp_path):
+        # a top-level c on the default (uniform) model is the census's swing
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"n": 200, "p": 0.1, "trials": 4, "master_seed": 3,
+                                    "c": 1.0, "gamma": 0.1}))
+        code, out, _ = run_cli(capsys, "census", "--config", str(path))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == TABLE_DIGESTS["census", "csv"]
+
+
+class TestModelParameters:
+    @pytest.mark.parametrize("flags", [
+        ["--c", "5"],
+        ["--model", "uniform", "--c", "1"],
+        ["--model", "fixed", "--d", "5", "--c", "1"],
+        ["--model", "morning", "--d", "7"],
+        ["--model", "uniform", "--d", "7"],
+    ])
+    def test_flag_the_model_ignores_is_rejected(self, capsys, flags):
+        code, out, err = run_cli(capsys, "run", "--n", "61", "--p", "0.1", "--trials", "2", *flags)
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1 and "applies only to the" in err
+
+    @pytest.mark.parametrize("extra", [
+        {"c": 1.0},
+        {"model": {"kind": "uniform", "c": 1.0}},
+        {"model": {"kind": "morning_evening", "d": 3}},
+    ])
+    def test_config_value_the_model_ignores_is_rejected(self, capsys, tmp_path, extra):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"n": 61, "p": 0.1, "trials": 2, **extra}))
+        code, out, err = run_cli(capsys, "run", "--config", str(path))
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1 and "applies only to the" in err
+
+    def test_outputs_key_rejected(self, capsys, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"n": 60, "p": 0.1, "outputs": ["json"]}))
+        code, out, err = run_cli(capsys, "run", "--config", str(path))
+        assert code == 1
+        assert out == ""
+        assert "outputs" in err
+
+
 class TestFailurePaths:
     @staticmethod
     def _failing_run(monkeypatch, fail_trials):

@@ -19,7 +19,6 @@ from conftest import complete_graph, cycle_graph, empty_graph, path_graph, star_
 from majdyn import (
     OpinionModel,
     OpinionVector,
-    bias,
     from_edges,
     majority_step,
     majority_step_reference,
@@ -54,7 +53,7 @@ class TestOpinionVector:
         assert vec(*[1] * 7).bias() == 7
         assert vec(*([1] * 4 + [-1] * 4)).bias() == 0
         assert vec(*([1] * 6 + [-1] * 4)).bias() == 2
-        assert bias(vec(-1)) == -1
+        assert vec(-1).bias() == -1
 
     def test_positives_uses_packed_popcount(self):
         s = vec(*([1] * 13 + [-1] * 4))

@@ -194,7 +194,6 @@ class TestEstimateJumbledness:
     def test_empty_graph_zero(self):
         est = estimate_jumbledness(empty_graph(40), 0.0, pairs=50, seed=1)
         assert est.beta_hat == 0.0
-        assert est.max_discrepancy == 0.0
         assert est.min_degree == 0
 
     def test_complete_graph_zero_on_disjoint_pairs(self):

@@ -19,6 +19,7 @@ import pytest
 from majdyn import (
     BinomSpec,
     ExperimentConfig,
+    Graph,
     OpinionModel,
     PSpec,
     bias_sweep,
@@ -73,14 +74,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_cfg(gamma=-0.1).validate()
         with pytest.raises(ValueError):
-            small_cfg(outputs=("xml",)).validate()
+            small_cfg(model=OpinionModel("uniform", c=1.0)).validate()
         with pytest.raises(ValueError):
             small_cfg(model=OpinionModel("fixed_discrepancy", d=3)).validate()
 
     def test_round_trip_through_dict(self):
         cfg = small_cfg(
-            model=OpinionModel("morning_evening", c=1.0), gamma=0.1, c=1.0,
-            day_cap=16, outputs=("csv", "json"),
+            model=OpinionModel("morning_evening", c=1.0), gamma=0.1, day_cap=16,
         )
         assert config_from_dict(config_to_dict(cfg)) == cfg
         cfg2 = ExperimentConfig(n=50, p_spec=PSpec.lower(2.0), trials=3)
@@ -91,6 +91,22 @@ class TestConfig:
         assert config_to_dict(cfg)["model"] == {"kind": "uniform", "seed": 11}
         assert config_from_dict(config_to_dict(cfg)) == cfg
         assert "seed" not in config_to_dict(small_cfg())["model"]
+
+    def test_top_level_c_folds_into_model(self):
+        base = {"n": 120, "p": 0.05, "trials": 4, "master_seed": 7, "gamma": 0.1}
+        top = config_from_dict(dict(base, model={"kind": "morning_evening"}, c=1.0))
+        nested_model = {"kind": "morning_evening", "c": 1.0}
+        nested = config_from_dict(dict(base, model=nested_model))
+        assert top == nested
+        assert config_from_dict(dict(base, model=nested_model, c=None)) == nested
+        assert "c" not in config_to_dict(top)
+        assert config_to_dict(top)["model"] == {"kind": "morning_evening", "c": 1.0}
+        reports = [run_experiment(cfg) for cfg in (top, nested)]
+        assert {t.swing_count for t in reports[0].trials} == {round(math.sqrt(120))}
+        streams = [io.StringIO(), io.StringIO()]
+        for report, stream in zip(reports, streams):
+            write_report(report, stream, "csv")
+        assert streams[0].getvalue() == streams[1].getvalue()
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown config keys"):
@@ -119,6 +135,21 @@ class TestRunExperiment:
         par = run_experiment(small_cfg(trials=6, workers=2))
         assert seq.trials == par.trials
         assert seq.aggregates == par.aggregates
+
+    def test_quenched_pool_pickles_the_graph_once_per_worker(self, monkeypatch):
+        calls = []
+        real = Graph.__getstate__
+
+        def getstate(graph):
+            calls.append(None)
+            return real(graph)
+
+        monkeypatch.setattr(Graph, "__getstate__", getstate)
+        cfg = small_cfg(trials=8, workers=2, quenched=True)
+        par = run_experiment(cfg)
+        assert 1 <= len(calls) <= cfg.workers
+        seq = run_experiment(replace(cfg, workers=1))
+        assert (par.trials, par.aggregates) == (seq.trials, seq.aggregates)
 
     def test_trials_differ_across_indices(self):
         report = run_experiment(small_cfg(trials=6))
@@ -151,7 +182,7 @@ class TestRunExperiment:
 
     def test_census_fields_present_for_morning_model(self):
         cfg = small_cfg(
-            model=OpinionModel("morning_evening"), c=1.0, gamma=0.1, trials=4
+            model=OpinionModel("morning_evening", c=1.0), gamma=0.1, trials=4
         )
         report = run_experiment(cfg)
         for t in report.trials:
@@ -183,7 +214,7 @@ class TestRunExperiment:
 
 class TestGrowth:
     def test_requires_uniform_model(self):
-        cfg = small_cfg(model=OpinionModel("morning_evening"), c=1.0)
+        cfg = small_cfg(model=OpinionModel("morning_evening", c=1.0))
         with pytest.raises(ValueError):
             growth_ratio_experiment(cfg)
 
@@ -208,11 +239,11 @@ class TestCensusExperiment:
         with pytest.raises(ValueError):
             census_experiment(small_cfg(gamma=0.1))
         with pytest.raises(ValueError):
-            census_experiment(small_cfg(model=OpinionModel("morning_evening"), c=1.0))
+            census_experiment(small_cfg(model=OpinionModel("morning_evening", c=1.0)))
 
     def test_quantiles_sorted_and_fraction(self):
         cfg = small_cfg(
-            n=400, trials=12, model=OpinionModel("morning_evening"), c=1.0, gamma=0.2
+            n=400, trials=12, model=OpinionModel("morning_evening", c=1.0), gamma=0.2
         )
         table = census_experiment(cfg)
         values = list(table.alpha_quantiles.values())
@@ -220,7 +251,7 @@ class TestCensusExperiment:
         assert 0.0 <= table.positive_excess_fraction <= 1.0
 
     def test_excess_monotone_in_gamma(self):
-        base = small_cfg(n=400, trials=8, model=OpinionModel("morning_evening"), c=1.0)
+        base = small_cfg(n=400, trials=8, model=OpinionModel("morning_evening", c=1.0))
         low = run_experiment(replace(base, gamma=0.05))
         high = run_experiment(replace(base, gamma=0.2))
         for lo_t, hi_t in zip(low.trials, high.trials):

@@ -152,6 +152,16 @@ class TestSampleInitial:
         with pytest.raises(ValueError):
             sample_initial(OpinionModel("coin"), 10, 0)
 
+    @pytest.mark.parametrize("model, applies_to", [
+        (OpinionModel("uniform", c=1.0), "morning_evening"),
+        (OpinionModel("fixed_discrepancy", d=2, c=0.5), "morning_evening"),
+        (OpinionModel("uniform", d=2), "fixed_discrepancy"),
+        (OpinionModel("morning_evening", d=2, c=1.0), "fixed_discrepancy"),
+    ])
+    def test_rejects_parameters_the_kind_ignores(self, model, applies_to):
+        with pytest.raises(ValueError, match=f"only to the {applies_to} model"):
+            model.validate(100)
+
 
 class TestCensus:
     def test_path_hand_computed(self):
