@@ -19,10 +19,21 @@ sort or COO conversion is involved.
 The scipy adjacency used by the dynamics stores its ones in the narrowest
 signed dtype that holds every neighbour sum (int8 up to maximum degree
 127), sized from the graph itself.
+
+Edge counts e(U, V) between vertex sets, for :func:`edges_between` and the
+jumbledness witness alike, come from one sparse × dense product: the
+indicator vectors of the V sets are stacked as the columns of an n × k
+block in the adjacency's dtype, ``A @ block`` counts every vertex's
+neighbours in each V, and column j summed in int64 over the rows in U_j is
+e(U_j, V_j).  Columns go through in blocks of at most ``_BLOCK_BYTES``, and
+the witness draws its pairs one block ahead (the same rng calls in the same
+order as drawing them one by one), so many pairs on a large graph never need
+one huge dense block or every pair's ids at once.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct
 from dataclasses import dataclass
@@ -34,6 +45,8 @@ import scipy.sparse as sp
 _MAGIC = b"MDGRAPH1"
 _VERSION = 1
 _HEADER = struct.Struct("<8sIQQ")
+# bytes of one dense block of V indicators in the edge-count product
+_BLOCK_BYTES = 1 << 23
 
 
 def _rng(seed) -> np.random.Generator:
@@ -252,11 +265,33 @@ def _gathered_neighbors(g: Graph, verts: np.ndarray) -> np.ndarray:
     return g.neighbors[idx]
 
 
+def _edge_counts(g: Graph, pairs):
+    """Yield (U, V, e(U, V)) for each (U, V) in ``pairs``, one sparse × dense
+    product per block of at most ``_BLOCK_BYTES`` of V indicators.
+
+    ``pairs`` is consumed one block at a time, so a lazy source never holds
+    more vertex ids than one block needs.  Each product entry counts a
+    vertex's neighbours in one V, at most its degree, so the adjacency's own
+    dtype holds it exactly; the sum over U is taken in int64.
+    """
+    a = g._adjacency
+    width = max(1, _BLOCK_BYTES // (g.n * a.dtype.itemsize))
+    pairs = iter(pairs)
+    while chunk := list(itertools.islice(pairs, width)):
+        block = np.zeros((g.n, len(chunk)), dtype=a.dtype)
+        for col, (_, v) in enumerate(chunk):
+            block[v, col] = 1
+        hits = a @ block
+        for col, (u, v) in enumerate(chunk):
+            yield u, v, int(hits[u, col].sum(dtype=np.int64))
+
+
 def edges_between(g: Graph, u_set, v_set) -> int:
     """Ordered-pair edge count e(U, V) = #{(u, v): u in U, v in V, uv an edge}.
 
     Edges with both endpoints in the overlap of U and V are counted twice,
-    once per orientation.
+    once per orientation.  One product of the adjacency with V's indicator,
+    so it costs O(n + m) whatever the sizes of U and V.
     """
     u = np.unique(np.asarray(u_set, dtype=np.int64))
     v = np.unique(np.asarray(v_set, dtype=np.int64))
@@ -265,9 +300,7 @@ def edges_between(g: Graph, u_set, v_set) -> int:
             raise ValueError("vertex id out of range")
     if u.size == 0 or v.size == 0:
         return 0
-    member = np.zeros(g.n, dtype=bool)
-    member[v] = True
-    return int(np.count_nonzero(member[_gathered_neighbors(g, u)]))
+    return next(_edge_counts(g, [(u, v)]))[2]
 
 
 def estimate_jumbledness(
@@ -297,17 +330,17 @@ def estimate_jumbledness(
     if 2 * hi > g.n:
         raise ValueError("subset sizes must allow disjoint pairs (2*max <= n)")
     rng = _rng(seed)
-    member = np.zeros(g.n, dtype=bool)
+
+    def draws():
+        for _ in range(pairs):
+            su = int(rng.integers(lo, hi + 1))
+            sv = int(rng.integers(lo, hi + 1))
+            both = rng.choice(g.n, size=su + sv, replace=False)
+            yield both[:su], both[su:]
+
     worst = 0.0
-    for _ in range(pairs):
-        su = int(rng.integers(lo, hi + 1))
-        sv = int(rng.integers(lo, hi + 1))
-        both = rng.choice(g.n, size=su + sv, replace=False)
-        u, v = both[:su], both[su:]
-        member[v] = True
-        e = int(np.count_nonzero(member[_gathered_neighbors(g, u)]))
-        member[v] = False
-        disc = abs(e - p * su * sv) / math.sqrt(su * sv)
+    for u, v, e in _edge_counts(g, draws()):
+        disc = abs(e - p * u.size * v.size) / math.sqrt(u.size * v.size)
         if disc > worst:
             worst = disc
     mind = int(g.degrees.min())

@@ -97,8 +97,11 @@ class ExperimentConfig:
             raise ValueError("day_cap must be at least 1")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
-        if self.gamma is not None and self.gamma < 0:
-            raise ValueError("gamma must be non-negative")
+        if self.gamma is not None:
+            if self.gamma < 0:
+                raise ValueError("gamma must be non-negative")
+            if self.model.kind != "morning_evening":
+                raise ValueError("census threshold gamma applies only to the morning_evening model")
         self.resolved_p()
         self.model.validate(self.n)
 

@@ -8,6 +8,15 @@ Cephes erfc-style rational approximation (absolute error far below 1e-12).
 The ``check_*`` functions each return the exact quantity next to the bound
 it is supposed to respect, so callers (tests, the verify-lemmas command)
 decide pass/fail with explicit tolerances.
+
+Binomial masses come straight from ``scipy.special._ufuncs._binom_pmf``,
+the ufunc that ``scipy.stats.binom.pmf`` itself evaluates.  The name is
+private scipy API: calling it skips the rv_discrete wrapper, which costs
+about twice the ufunc per call, and the import of ``scipy.stats``, which
+takes most of a second.  The masses are clipped to [0, 1] as the wrapper
+clips them, so they are bitwise the wrapper's.  Should a scipy release drop
+the name, :func:`_binom_masses` falls back to ``scipy.stats.binom.pmf``.
+Each check builds the masses of every law it needs once.
 """
 
 from __future__ import annotations
@@ -17,6 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
+
+try:
+    from scipy.special._ufuncs import _binom_pmf
+except ImportError:  # private scipy API; see the module docstring
+    _binom_pmf = None
 
 _CONV_TRIALS_GUARD = 20000
 _BERRY_ESSEEN_GUARD = 10**6
@@ -68,10 +82,18 @@ class PMF:
 
 
 def _binom_masses(spec: BinomSpec) -> np.ndarray:
-    # scipy.stats takes most of a second to import; only this needs it
-    from scipy import stats
+    """P[X = k] for k = 0..trials, bitwise equal to ``stats.binom.pmf``.
 
-    return stats.binom.pmf(np.arange(spec.trials + 1), spec.trials, spec.prob)
+    Calls the private ufunc ``scipy.special._ufuncs._binom_pmf`` and clips
+    to [0, 1] as the rv_discrete wrapper does; without that name it falls
+    back to the wrapper, importing ``scipy.stats`` on first use.
+    """
+    k = np.arange(spec.trials + 1)
+    if _binom_pmf is None:
+        from scipy import stats
+
+        return stats.binom.pmf(k, spec.trials, spec.prob)
+    return np.clip(_binom_pmf(k, spec.trials, spec.prob), 0.0, 1.0)
 
 
 def _guard_trials(*specs: BinomSpec) -> None:
@@ -80,11 +102,16 @@ def _guard_trials(*specs: BinomSpec) -> None:
         raise ValueError(f"exact convolution limited to {_CONV_TRIALS_GUARD} total trials, got {total}")
 
 
+def _diff_pmf(mx: np.ndarray, my: np.ndarray) -> PMF:
+    """Law of X - Y for independent X and Y with masses ``mx`` and ``my``
+    on 0..len-1."""
+    return PMF(support_offset=1 - my.size, masses=np.convolve(mx, my[::-1]))
+
+
 def binom_diff_pmf(a: BinomSpec, b: BinomSpec) -> PMF:
     """Exact law of X - Y for independent X ~ a and Y ~ b."""
     _guard_trials(a, b)
-    conv = np.convolve(_binom_masses(a), _binom_masses(b)[::-1])
-    return PMF(support_offset=-b.trials, masses=conv)
+    return _diff_pmf(_binom_masses(a), _binom_masses(b))
 
 
 def chernoff_upper(mu: float, t: float) -> float:
@@ -150,7 +177,9 @@ def check_equality_prob(a: BinomSpec, b: BinomSpec) -> tuple[float, float, float
     """(P[X = Y], P[X >= Y], P[X = Y] * sqrt(n*p)) computed exactly."""
     if a.prob != b.prob:
         raise ValueError("both variables must share the success probability")
-    d = binom_diff_pmf(a, b)
+    _guard_trials(a, b)
+    ma = _binom_masses(a)
+    d = _diff_pmf(ma, ma if b == a else _binom_masses(b))
     p_eq = d.p_eq(0)
     p_ge = d.p_ge(0)
     return p_eq, p_ge, p_eq * math.sqrt(a.trials * a.prob)
@@ -168,11 +197,11 @@ def check_coupling(
     outer two.
     """
     _guard_trials(z1, z2, w1, w2)
-    mz1 = _binom_masses(z1)
-    mw = np.convolve(_binom_masses(w1), _binom_masses(w2))
-    full = PMF(-(w1.trials + w2.trials), np.convolve(np.convolve(mz1, _binom_masses(z2)), mw[::-1]))
-    base = binom_diff_pmf(z1, w1)
-    z1_minus_w = PMF(-(w1.trials + w2.trials), np.convolve(mz1, mw[::-1]))
+    mz1, mz2, mw1, mw2 = (_binom_masses(s) for s in (z1, z2, w1, w2))
+    mw = np.convolve(mw1, mw2)
+    full = _diff_pmf(np.convolve(mz1, mz2), mw)
+    base = _diff_pmf(mz1, mw1)
+    z1_minus_w = _diff_pmf(mz1, mw)
     lhs = -w2.mean * base.max_mass()
     middle = full.p_ge(ell) - base.p_ge(ell)
     rhs = z2.mean * z1_minus_w.max_mass()

@@ -268,6 +268,26 @@ class TestVerifyLemmas:
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == "d497b258f40a4fd28db4b386de3652ee0c4485c92ba49574d98e7fcc7c17a524"
 
+    def test_stats_fallback_gives_the_pinned_bytes(self, capsys, monkeypatch):
+        # without scipy's private binomial ufunc the masses come from
+        # scipy.stats.binom.pmf, byte for byte the same table
+        monkeypatch.setattr(majdyn.probkit, "_binom_pmf", None)
+        code, out, _ = run_cli(capsys, "verify-lemmas", "--max-trials", "25", "--seed", "3")
+        assert code == 0
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "d497b258f40a4fd28db4b386de3652ee0c4485c92ba49574d98e7fcc7c17a524"
+
+    def test_leaves_scipy_stats_unloaded(self):
+        src_dir = str(Path(majdyn.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src_dir)
+        script = ("import sys; from majdyn.cli import main; "
+                  "code = main(['verify-lemmas', '--max-trials', '5', '-q']); "
+                  "print(code, 'scipy.stats' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, timeout=120, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 False"
+
 
 # every command whose output is a table of rows, with small fixed arguments
 TABLE_COMMANDS = {
@@ -359,6 +379,37 @@ class TestModelParameters:
         assert code == 1
         assert out == ""
         assert len(err.splitlines()) == 1 and "applies only to the" in err
+
+    @pytest.mark.parametrize("flags", [
+        [],
+        ["--model", "uniform"],
+        ["--model", "fixed", "--d", "1"],
+    ])
+    def test_gamma_flag_off_the_census_model_is_rejected(self, capsys, flags):
+        code, out, err = run_cli(capsys, "run", "--n", "61", "--p", "0.1", "--trials", "2",
+                                 "--gamma", "0.1", *flags)
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1 and "gamma applies only to the" in err
+
+    @pytest.mark.parametrize("model", [None, {"kind": "uniform"},
+                                       {"kind": "fixed_discrepancy", "d": 1}])
+    def test_gamma_config_off_the_census_model_is_rejected(self, capsys, tmp_path, model):
+        doc = {"n": 61, "p": 0.1, "trials": 2, "gamma": 0.1}
+        if model is not None:
+            doc["model"] = model
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "run", "--config", str(path))
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1 and "gamma applies only to the" in err
+
+    def test_gamma_on_the_census_model_runs_the_census(self, capsys):
+        code, out, _ = run_cli(capsys, "run", "--n", "61", "--p", "0.1", "--trials", "2",
+                               "--model", "morning", "--c", "1", "--gamma", "0.1")
+        assert code == 0
+        assert all(row["alpha_hat"] != "" for row in parse_csv(out))
 
     def test_outputs_key_rejected(self, capsys, tmp_path):
         path = tmp_path / "cfg.json"

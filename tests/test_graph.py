@@ -10,6 +10,8 @@ from __future__ import annotations
 import hashlib
 import math
 import pickle
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import complete_graph, empty_graph, path_graph, star_graph
+from majdyn import graph as graph_module
 from majdyn import (
     OpinionVector,
     degree_stats,
@@ -28,6 +31,10 @@ from majdyn import (
     sample_gnp,
     save_graph,
 )
+
+
+# magic, u32 version, u64 n, u64 edge count
+_HEADER_BYTES = 28
 
 
 def csr_digest(g):
@@ -189,6 +196,37 @@ class TestEdgesBetween:
         with pytest.raises(ValueError):
             edges_between(path_graph(3), [0], [5])
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=30),
+        p=st.floats(min_value=0.0, max_value=1.0),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        data=st.data(),
+    )
+    def test_matches_brute_force(self, n, p, seed, data):
+        # U and V may overlap, repeat ids or be empty
+        g = sample_gnp(n, p, seed)
+        ids = st.lists(st.integers(min_value=0, max_value=n - 1), max_size=2 * n)
+        u, v = data.draw(ids), data.draw(ids)
+        edges = {(int(a), int(b)) for a in range(n) for b in g.neighbors_of(a)}
+        expected = sum((a, b) in edges for a in set(u) for b in set(v))
+        assert edges_between(g, u, v) == expected
+
+    def test_pairs_consumed_one_block_at_a_time(self, monkeypatch):
+        g = path_graph(10)
+        monkeypatch.setattr(graph_module, "_BLOCK_BYTES", 3 * g.n * g._adjacency.dtype.itemsize)
+        pulled = []
+
+        def pairs():
+            for i in range(10):
+                pulled.append(i)
+                yield np.array([i]), np.array([(i + 1) % 10])
+
+        counts = graph_module._edge_counts(g, pairs())
+        next(counts)
+        assert len(pulled) == 3
+        assert [e for _, _, e in counts] == [1] * 8 + [0]
+
 
 class TestEstimateJumbledness:
     def test_empty_graph_zero(self):
@@ -209,6 +247,37 @@ class TestEstimateJumbledness:
         est = estimate_jumbledness(g, p, pairs=500, subset_size_range=(250, 750), seed=3)
         assert 0.0 < est.beta_hat <= 10.0 * math.sqrt(n * p)
         assert est.min_degree == int(g.degrees.min())
+
+    # beta_hat as the per-pair neighbour gather computed it; the block
+    # product must give the same floats, bit for bit
+    PINNED = [
+        ((200, 0.1, 1), 0.1, 30, (0, 0), 5, 0.6831300510639725),
+        ((500, 0.05, 2), 0.05, 40, (10, 100), 7, 0.5799105039652088),
+        ((300, 0.2, 3), 0.2, 25, (0, 0), 11, 0.9585185256296073),
+        ((600, 0.5, 4), 0.5, 20, (0, 0), 13, 0.8110792214313831),  # int16 adjacency
+        ((5000, 0.3, 1004), 0.3, 50, (0, 0), 2000, 0.9620585264423941),  # c09's first graph
+    ]
+
+    @pytest.mark.parametrize("sample, p, pairs, sizes, seed, beta", PINNED)
+    def test_beta_hat_pinned(self, sample, p, pairs, sizes, seed, beta):
+        est = estimate_jumbledness(sample_gnp(*sample), p, pairs=pairs, subset_size_range=sizes, seed=seed)
+        assert est.beta_hat == beta
+        assert est.pairs_tested == pairs
+
+    @pytest.mark.parametrize("width", [1, 7, 24])
+    def test_beta_hat_pinned_across_column_blocks(self, monkeypatch, width):
+        # 25 pairs on n=300 in blocks of 1, 7 (four blocks, the last short)
+        # and 24 columns (a one-column tail)
+        sample, p, pairs, sizes, seed, beta = self.PINNED[2]
+        g = sample_gnp(*sample)
+        monkeypatch.setattr(graph_module, "_BLOCK_BYTES", width * g.n * g._adjacency.dtype.itemsize)
+        est = estimate_jumbledness(g, p, pairs=pairs, subset_size_range=sizes, seed=seed)
+        assert est.beta_hat == beta
+
+    def test_beta_hat_pinned_on_empty_and_complete_graphs(self):
+        assert estimate_jumbledness(empty_graph(40), 0.3, pairs=20, seed=1).beta_hat == 2.6999999999999997
+        assert estimate_jumbledness(complete_graph(40), 0.5, pairs=20, seed=2).beta_hat == 5.0
+        assert estimate_jumbledness(complete_graph(40), 1.0, pairs=20, seed=2).beta_hat == 0.0
 
     def test_rejects_bad_ranges(self):
         g = empty_graph(10)
@@ -286,6 +355,61 @@ class TestSerialization:
         g = load_graph(path)
         with pytest.raises(ValueError, match="not symmetric"):
             g.validate()
+
+    @staticmethod
+    def _load_bytes(raw):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "g.bin"
+            path.write_bytes(bytes(raw))
+            return load_graph(path)
+
+    @staticmethod
+    def _dump(g):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "g.bin"
+            save_graph(g, path)
+            return path.read_bytes()
+
+    graphs = st.tuples(
+        st.integers(min_value=1, max_value=12),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+
+    @settings(max_examples=100, deadline=None)
+    @given(graph=graphs, data=st.data())
+    def test_every_truncation_rejected(self, graph, data):
+        raw = self._dump(sample_gnp(*graph))
+        cut = data.draw(st.integers(min_value=0, max_value=len(raw) - 1))
+        with pytest.raises(ValueError):
+            self._load_bytes(raw[:cut])
+
+    @settings(max_examples=300, deadline=None)
+    @given(graph=graphs, data=st.data())
+    def test_bit_flip_rejected_or_loads_in_range(self, graph, data):
+        raw = bytearray(self._dump(sample_gnp(*graph)))
+        bit = data.draw(st.integers(min_value=0, max_value=8 * len(raw) - 1))
+        raw[bit // 8] ^= 1 << (bit % 8)
+        try:
+            g = self._load_bytes(raw)
+        except ValueError:
+            return
+        assert g.offsets[0] == 0 and np.all(np.diff(g.offsets) >= 0)
+        assert g.offsets[-1] == g.neighbors.size
+        if g.neighbors.size:
+            assert 0 <= g.neighbors.min() and g.neighbors.max() < g.n
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(min_value=2, max_value=12), data=st.data())
+    def test_wrapped_or_negative_id_never_loads(self, n, data):
+        raw = bytearray(self._dump(complete_graph(n)))
+        slot = data.draw(st.integers(min_value=0, max_value=n * (n - 1) - 1))
+        # ids >= 2**31 turn negative in a bare int32 cast
+        bad = data.draw(st.integers(min_value=n, max_value=2**32 - 1))
+        at = _HEADER_BYTES + 8 * (n + 1) + 4 * slot
+        raw[at:at + 4] = bad.to_bytes(4, "little")
+        with pytest.raises(ValueError, match="neighbor id out of range"):
+            self._load_bytes(raw)
 
     def test_missing_file_has_path_context(self, tmp_path):
         with pytest.raises(OSError, match="nope.bin"):

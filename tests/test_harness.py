@@ -78,6 +78,17 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_cfg(model=OpinionModel("fixed_discrepancy", d=3)).validate()
 
+    @pytest.mark.parametrize("model", [OpinionModel(), OpinionModel("fixed_discrepancy", d=0)])
+    def test_gamma_needs_the_census_model(self, model):
+        with pytest.raises(ValueError, match="gamma applies only to the morning_evening model"):
+            small_cfg(model=model, gamma=0.1).validate()
+        with pytest.raises(ValueError, match="gamma"):
+            config_from_dict(config_to_dict(small_cfg(model=model, gamma=0.1))).validate()
+        with pytest.raises(ValueError, match="gamma"):
+            run_experiment(small_cfg(model=model, gamma=0.1))
+        small_cfg(model=model).validate()
+        small_cfg(model=OpinionModel("morning_evening", c=1.0), gamma=0.1).validate()
+
     def test_round_trip_through_dict(self):
         cfg = small_cfg(
             model=OpinionModel("morning_evening", c=1.0), gamma=0.1, day_cap=16,

@@ -28,6 +28,7 @@ from majdyn import (
     chernoff_lower,
     chernoff_upper,
     phi,
+    probkit,
     psi,
     psi_pair_bound_constant,
     run_lemma_sweeps,
@@ -324,3 +325,53 @@ class TestLemmaSweeps:
         assert results["binom-shift"].cases == 25
         assert results["coupling-sandwich"].cases == 25
         assert results["four-rv"].cases == 25
+
+
+class TestBinomMasses:
+    """``_binom_masses`` calls scipy's private binomial ufunc directly; it
+    must give the bytes of the public ``stats.binom.pmf`` wrapper."""
+
+    @staticmethod
+    def _wrapper(n, p):
+        from scipy import stats
+
+        return stats.binom.pmf(np.arange(n + 1), n, p)
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 300])
+    @pytest.mark.parametrize("p", [0.0, 1.0, 0.5, 1e-300, 1.0 - 1e-16])
+    def test_edge_cases_bitwise(self, n, p):
+        got = probkit._binom_masses(BinomSpec(n, p))
+        assert got.dtype == np.float64
+        assert got.tobytes() == self._wrapper(n, p).tobytes()
+
+    def test_random_cases_bitwise(self):
+        rng = np.random.default_rng(17)
+        for _ in range(400):
+            n = int(rng.integers(0, 5001))
+            p = float(rng.uniform())
+            assert probkit._binom_masses(BinomSpec(n, p)).tobytes() == self._wrapper(n, p).tobytes()
+
+    def test_fallback_without_the_ufunc(self, monkeypatch):
+        spec = BinomSpec(40, 0.3)
+        direct = probkit._binom_masses(spec)
+        monkeypatch.setattr(probkit, "_binom_pmf", None)
+        assert probkit._binom_masses(spec).tobytes() == direct.tobytes()
+
+    def test_each_law_built_once_per_check(self, monkeypatch):
+        built = []
+        real = probkit._binom_masses
+
+        def counting(spec):
+            built.append(spec)
+            return real(spec)
+
+        monkeypatch.setattr(probkit, "_binom_masses", counting)
+        specs = [BinomSpec(5, 0.2), BinomSpec(3, 0.4), BinomSpec(6, 0.2), BinomSpec(2, 0.7)]
+        check_coupling(*specs, 1)
+        assert built == specs
+        built.clear()
+        check_equality_prob(BinomSpec(30, 0.1), BinomSpec(30, 0.1))
+        assert built == [BinomSpec(30, 0.1)]
+        built.clear()
+        check_equality_prob(BinomSpec(30, 0.1), BinomSpec(20, 0.1))
+        assert built == [BinomSpec(30, 0.1), BinomSpec(20, 0.1)]
