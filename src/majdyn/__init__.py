@@ -32,6 +32,7 @@ from .harness import (
     ExperimentConfig,
     ExperimentReport,
     PSpec,
+    Table,
     TrialRecord,
     bias_sweep,
     census_experiment,
@@ -39,6 +40,7 @@ from .harness import (
     config_from_dict,
     config_to_dict,
     contraction_experiment,
+    density_sweep,
     growth_ratio_experiment,
     load_config,
     run_experiment,

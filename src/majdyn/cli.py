@@ -183,49 +183,22 @@ def _cmd_sweep(args) -> int:
         args.p = float(first)
     cfg = _config_from_args(args)
     if args.d_values:
-        d_values = [int(v) for v in args.d_values.split(",") if v.strip()]
-        table = harness.bias_sweep(cfg, d_values)
-        columns = ("d", "trials", "unanimity_fraction", "median_unanimity_day",
-                   "positive_sign_fraction")
-        harness.write_table(table.rows, columns, args.output or sys.stdout, args.format)
-        return 0
-    rows = []
-    for raw in args.p_values.split(","):
-        if not raw.strip():
-            continue
-        p = float(raw)
-        sub = replace(cfg, p=p, p_spec=None)
-        sub.validate()
-        report = harness.run_experiment(sub)
-        rows.append(
-            {
-                "p": p,
-                "trials": sub.trials,
-                "unanimity_fraction": report.aggregates["unanimity_fraction"],
-                "median_unanimity_day": report.aggregates["median_unanimity_day"],
-            }
-        )
-    harness.write_table(rows, ("p", "trials", "unanimity_fraction", "median_unanimity_day"),
-                        args.output or sys.stdout, args.format)
+        table = harness.bias_sweep(cfg, [int(v) for v in args.d_values.split(",") if v.strip()])
+    else:
+        table = harness.density_sweep(cfg, [float(v) for v in args.p_values.split(",") if v.strip()])
+    harness.write_table(table, args.output or sys.stdout, args.format)
     return 0
 
 
 def _cmd_census(args) -> int:
-    cfg = _config_from_args(args, model_kind="morning_evening")
-    if cfg.gamma is None:
-        raise ValueError("census requires --gamma")
-    table = harness.census_experiment(cfg)
-    rows = [{"key": k, "value": v} for k, v in table.alpha_quantiles.items()]
-    rows.append({"key": "positive_excess_fraction", "value": table.positive_excess_fraction})
-    harness.write_table(rows, ("key", "value"), args.output or sys.stdout, args.format)
+    table = harness.census_experiment(_config_from_args(args, model_kind="morning_evening"))
+    harness.write_table(table, args.output or sys.stdout, args.format)
     return 0
 
 
 def _cmd_growth(args) -> int:
-    cfg = _config_from_args(args)
-    table = harness.growth_ratio_experiment(cfg)
-    harness.write_table(table.rows, ("day", "median_ratio", "sqrt_np", "used", "skipped_zero_bias"),
-                        args.output or sys.stdout, args.format)
+    table = harness.growth_ratio_experiment(_config_from_args(args))
+    harness.write_table(table, args.output or sys.stdout, args.format)
     return 0
 
 
@@ -237,22 +210,21 @@ def _cmd_contraction(args) -> int:
     else:
         floor = int(args.bias_floor)
     table = harness.contraction_experiment(cfg, floor)
-    rows = [dict(r, minority_by_day=" ".join(str(v) for v in r["minority_by_day"])) for r in table.rows]
-    harness.write_table(rows, ("trial", "t_star", "minority_share_next", "minority_by_day",
-                               "monotone_after_jump"), args.output or sys.stdout, args.format)
-    _log(f"qualifying trials: {table.qualifying}; "
-         f"minority share <= 0.45 next day: {table.small_minority_fraction}")
+    harness.write_table(table, args.output or sys.stdout, args.format)
+    small = sum(1 for row in table.rows if row["minority_share_next"] <= 0.45)
+    _log(f"qualifying trials: {len(table.rows)}; minority share <= 0.45 next day: "
+         f"{small / len(table.rows) if table.rows else None}")
     return 0
 
 
 def _cmd_verify_lemmas(args) -> int:
     results = probkit.run_lemma_sweeps(max_cases=args.max_trials, seed=args.seed)
-    rows = [
+    rows = tuple(
         {"check": r.name, "cases": r.cases, "worst": r.worst, "bound": r.bound,
          "result": "PASS" if r.passed else "FAIL"}
         for r in results
-    ]
-    harness.write_table(rows, ("check", "cases", "worst", "bound", "result"),
+    )
+    harness.write_table(harness.Table(("check", "cases", "worst", "bound", "result"), rows),
                         args.output or sys.stdout, args.format)
     failed = [r.name for r in results if not r.passed]
     if failed:

@@ -367,8 +367,8 @@ def load_graph(path) -> Graph:
     Rejects bad magic, unknown versions, truncated files, decreasing
     offsets and neighbour ids outside ``0..n-1``, so no id can wrap when
     cast to int32.  Symmetry, sortedness and self-loops are left to
-    :meth:`Graph.validate`: checking them costs about a second at n=10^6,
-    several times the load itself.
+    :meth:`Graph.validate`: about 0.45 s at n=10^6, p=2e-5 on a 2-core Xeon,
+    adjacency build included, against 0.05-0.12 s for the load itself.
     """
     try:
         with open(path, "rb") as fh:

@@ -5,11 +5,12 @@ split into graph / opinion / swing substreams, so results are identical for
 any worker count and for repeated runs.  By default every trial samples a
 fresh graph ("annealed"); ``quenched=True`` fixes one graph across trials.
 
-Reports are plain dataclasses.  One writer emits every table, bit-stable,
-to a path or to an open text stream: ``write_report`` gives CSV (one row per
-trial, aggregates in a sibling file) or a single JSON document with a fixed
-key order, and ``write_table`` gives the CLI's tables of rows as CSV or as a
-``{"rows": [...]}`` JSON document.
+Reports are plain dataclasses, and every experiment table (growth, census,
+contraction, ``bias_sweep`` over d, ``density_sweep`` over p) is one
+:class:`Table` of columns and rows.  One writer emits them, bit-stable, to a
+path or an open text stream: ``write_report`` gives CSV (one row per trial,
+aggregates in a sibling file) or one JSON document with a fixed key order,
+and ``write_table(table, ...)`` gives CSV or a ``{"rows": [...]}`` document.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import json
 import math
 import statistics
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -206,7 +207,7 @@ def _quantile(sorted_vals: list[float], q: float) -> float:
     return sorted_vals[lo] * (1.0 - frac) + sorted_vals[hi] * frac
 
 
-def compute_aggregates(cfg: ExperimentConfig, trials: tuple[TrialRecord, ...]) -> dict:
+def compute_aggregates(trials: tuple[TrialRecord, ...]) -> dict:
     """Deterministic ordered reduction of the per-trial rows; recomputable
     from a written report."""
     agg: dict = {}
@@ -262,19 +263,18 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
                          chunksize=-(-cfg.trials // cfg.workers))
             )
     trials = tuple(records)
-    return ExperimentReport(cfg, trials, compute_aggregates(cfg, trials))
+    return ExperimentReport(cfg, trials, compute_aggregates(trials))
 
 
 @dataclass(frozen=True)
-class GrowthTable:
-    """Median one-day bias amplification next to the sqrt(n*p) prediction."""
+class Table:
+    """An experiment table: dict rows keyed by exactly ``columns``, in order."""
 
+    columns: tuple[str, ...]
     rows: tuple[dict, ...]
-    sqrt_np: float
-    report: ExperimentReport
 
 
-def growth_ratio_experiment(cfg: ExperimentConfig) -> GrowthTable:
+def growth_ratio_experiment(cfg: ExperimentConfig) -> Table:
     """Median |S_{t+1}| / |S_t| for t = 0, 1, 2 under iid uniform starts."""
     if cfg.model.kind != "uniform":
         raise ValueError("growth ratios are defined for the uniform model")
@@ -291,43 +291,23 @@ def growth_ratio_experiment(cfg: ExperimentConfig) -> GrowthTable:
                 "skipped_zero_bias": report.aggregates[f"growth_ratio_day{day}_skipped_zero_bias"],
             }
         )
-    return GrowthTable(tuple(rows), sqrt_np, report)
+    return Table(("day", "median_ratio", "sqrt_np", "used", "skipped_zero_bias"), tuple(rows))
 
 
-@dataclass(frozen=True)
-class CensusTable:
-    alpha_quantiles: dict
-    positive_excess_fraction: float
-    report: ExperimentReport
-
-
-def census_experiment(cfg: ExperimentConfig) -> CensusTable:
+def census_experiment(cfg: ExperimentConfig) -> Table:
     """Distribution of the almost-positive excess under the swung balanced
     model; requires gamma and a morning_evening model."""
     if cfg.model.kind != "morning_evening":
         raise ValueError("the census needs the morning_evening model")
     if cfg.gamma is None:
         raise ValueError("the census needs gamma")
-    report = run_experiment(cfg)
-    quantiles = {
-        key: report.aggregates[key]
-        for key in (f"alpha_hat_q{int(q * 100):02d}" for q in _ALPHA_QUANTILES)
-    }
-    return CensusTable(quantiles, report.aggregates["positive_excess_fraction"], report)
+    agg = run_experiment(cfg).aggregates
+    keys = [f"alpha_hat_q{int(q * 100):02d}" for q in _ALPHA_QUANTILES]
+    keys.append("positive_excess_fraction")
+    return Table(("key", "value"), tuple({"key": key, "value": agg[key]} for key in keys))
 
 
-@dataclass(frozen=True)
-class ContractionTable:
-    """Minority decay after the bias first clears ``bias_floor``."""
-
-    rows: tuple[dict, ...]
-    bias_floor: int
-    qualifying: int
-    small_minority_fraction: float | None
-    report: ExperimentReport
-
-
-def contraction_experiment(cfg: ExperimentConfig, bias_floor: int) -> ContractionTable:
+def contraction_experiment(cfg: ExperimentConfig, bias_floor: int) -> Table:
     """Track the losing side's share once |bias| reaches ``bias_floor``.
 
     For each trial with a day t* where |S_{t*}| >= bias_floor and a simulated
@@ -339,7 +319,6 @@ def contraction_experiment(cfg: ExperimentConfig, bias_floor: int) -> Contractio
     report = run_experiment(cfg)
     n = cfg.n
     rows = []
-    small = 0
     for t in report.trials:
         if t.outcome == "error":
             continue
@@ -354,22 +333,26 @@ def contraction_experiment(cfg: ExperimentConfig, bias_floor: int) -> Contractio
                 "trial": t.index,
                 "t_star": t_star,
                 "minority_share_next": share_next,
-                "minority_by_day": minority,
+                "minority_by_day": " ".join(str(m) for m in minority),
                 "monotone_after_jump": monotone,
             }
         )
-        if share_next <= 0.45:
-            small += 1
-    frac = small / len(rows) if rows else None
-    return ContractionTable(tuple(rows), bias_floor, len(rows), frac, report)
+    columns = ("trial", "t_star", "minority_share_next", "minority_by_day", "monotone_after_jump")
+    return Table(columns, tuple(rows))
 
 
-@dataclass(frozen=True)
-class SweepTable:
-    rows: tuple[dict, ...]
+_SWEEP_COLUMNS = ("trials", "unanimity_fraction", "median_unanimity_day")
 
 
-def bias_sweep(cfg: ExperimentConfig, d_values) -> SweepTable:
+def _sweep_row(report: ExperimentReport) -> dict:
+    return {
+        "trials": report.config.trials,
+        "unanimity_fraction": report.aggregates["unanimity_fraction"],
+        "median_unanimity_day": report.aggregates["median_unanimity_day"],
+    }
+
+
+def bias_sweep(cfg: ExperimentConfig, d_values) -> Table:
     """Unanimity probability as a function of the initial opinion sum d.
 
     Every d reuses the same master seed, so graphs are shared across the
@@ -386,16 +369,23 @@ def bias_sweep(cfg: ExperimentConfig, d_values) -> SweepTable:
         rows.append(
             {
                 "d": d,
-                "trials": cfg.trials,
-                "unanimity_fraction": report.aggregates["unanimity_fraction"],
-                "median_unanimity_day": report.aggregates["median_unanimity_day"],
+                **_sweep_row(report),
                 "positive_sign_fraction": (
                     sum(1 for t in report.trials if t.outcome == "unanimous" and t.sign > 0)
                     / max(report.aggregates["unanimous"], 1)
                 ),
             }
         )
-    return SweepTable(tuple(rows))
+    return Table(("d", *_SWEEP_COLUMNS, "positive_sign_fraction"), tuple(rows))
+
+
+def density_sweep(cfg: ExperimentConfig, p_values) -> Table:
+    """Unanimity probability as a function of the density p, with the
+    config's model; every p reuses the same master seed."""
+    p_values = [float(p) for p in p_values]
+    rows = tuple({"p": p, **_sweep_row(run_experiment(replace(cfg, p=p, p_spec=None)))}
+                 for p in p_values)
+    return Table(("p", *_SWEEP_COLUMNS), rows)
 
 
 def auto_bias_floor(cfg: ExperimentConfig, pairs: int = 100) -> int:
@@ -498,29 +488,20 @@ def load_config(path) -> ExperimentConfig:
     return config_from_dict(data)
 
 
+_CSV_COLUMNS = tuple(f.name for f in fields(TrialRecord))
+# the swing count and the census fields, all None when no swing was drawn
+_SWING_COLUMNS = _CSV_COLUMNS[_CSV_COLUMNS.index("swing_count"):_CSV_COLUMNS.index("error")]
+
+
 def trial_to_dict(t: TrialRecord) -> dict:
-    out: dict = {
-        "index": t.index,
-        "seed": t.seed,
-        "edge_count": t.edge_count,
-        "outcome": t.outcome,
-        "sign": t.sign,
-        "period": t.period,
-        "unanimity_day": t.unanimity_day,
-        "s0_bias": t.s0_bias,
-        "final_bias": t.final_bias,
-        "days_simulated": t.days_simulated,
-        "bias_by_day": list(t.bias_by_day),
-    }
-    if t.swing_count is not None:
-        out["swing_count"] = t.swing_count
-        out["almost_positive"] = t.almost_positive
-        out["unstable"] = t.unstable
-        out["unstable_with_swing"] = t.unstable_with_swing
-        out["excess"] = t.excess
-        out["alpha_hat"] = t.alpha_hat
-    if t.error:
-        out["error"] = t.error
+    """The trial's fields in declaration order; the swing and census keys
+    only when the trial drew a swing, ``error`` only when it failed."""
+    out = dict(vars(t), bias_by_day=list(t.bias_by_day))
+    if t.swing_count is None:
+        for key in _SWING_COLUMNS:
+            del out[key]
+    if not t.error:
+        del out["error"]
     return out
 
 
@@ -531,14 +512,6 @@ def report_to_dict(report: ExperimentReport) -> dict:
         "trials": [trial_to_dict(t) for t in report.trials],
         "aggregates": report.aggregates,
     }
-
-
-_CSV_COLUMNS = (
-    "index", "seed", "edge_count", "outcome", "sign", "period", "unanimity_day",
-    "s0_bias", "final_bias", "days_simulated", "bias_by_day", "swing_count",
-    "almost_positive", "unstable", "unstable_with_swing", "excess", "alpha_hat",
-    "error",
-)
 
 
 def _csv_cell(value) -> str:
@@ -572,10 +545,10 @@ def write_report(report: ExperimentReport, dest, fmt: str = "csv") -> list[Path]
     return written
 
 
-def write_table(rows, columns, dest, fmt: str = "csv") -> None:
-    """Write dict rows to ``dest``, a path or an open text stream: as CSV
-    under ``columns``, or as the JSON document ``{"rows": [...]}``."""
-    _write(dest, fmt, {"rows": list(rows)} if fmt == "json" else rows, columns)
+def write_table(table: Table, dest, fmt: str = "csv") -> None:
+    """Write ``table`` to ``dest``, a path or an open text stream: as CSV
+    under its columns, or as the JSON document ``{"rows": [...]}``."""
+    _write(dest, fmt, {"rows": list(table.rows)} if fmt == "json" else table.rows, table.columns)
 
 
 def _write(dest, fmt: str, content, columns=()) -> list[Path]:

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from conftest import complete_graph, empty_graph, path_graph, star_graph
 from majdyn import graph as graph_module
 from majdyn import (
+    Graph,
     OpinionVector,
     degree_stats,
     edges_between,
@@ -157,6 +158,29 @@ class TestFromEdges:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             from_edges(3, [(0, 3)])
+
+
+class TestValidate:
+    """Each structural check of ``Graph.validate`` on a CSR built to break
+    that check alone; the message pins which check fired."""
+
+    @pytest.mark.parametrize("n, offsets, neighbors, message", [
+        (2, [0, 1, 2], [0, 1], "self-loop"),
+        (3, [0, 2, 3, 4], [2, 1, 0, 0], "strictly increasing"),
+        (2, [0, 2, 4], [1, 1, 0, 0], "strictly increasing"),
+        (2, [0, 1, 1], [1], "must be even"),
+        (2, [0, 1, 2], [-1, 0], "out of range"),
+        (2, [0, 1, 2], [1, 2], "out of range"),
+        (3, [0, 2, 1, 2], [1, 2], "non-decreasing"),
+    ], ids=["self-loop", "unsorted", "duplicate", "odd-length", "negative-id", "id-at-n",
+            "decreasing-offsets"])
+    def test_rejects(self, n, offsets, neighbors, message):
+        g = Graph(n, offsets, neighbors)
+        with pytest.raises(ValueError, match=message):
+            g.validate()
+
+    def test_accepts_a_valid_csr(self):
+        Graph(3, [0, 2, 3, 4], [1, 2, 0, 0]).validate()
 
 
 class TestDegreeStats:

@@ -29,6 +29,7 @@ from majdyn import (
     config_from_dict,
     config_to_dict,
     contraction_experiment,
+    density_sweep,
     growth_ratio_experiment,
     load_config,
     run_experiment,
@@ -174,7 +175,7 @@ class TestRunExperiment:
     def test_aggregates_recomputable(self):
         cfg = small_cfg(trials=10)
         report = run_experiment(cfg)
-        assert compute_aggregates(cfg, report.trials) == report.aggregates
+        assert compute_aggregates(report.trials) == report.aggregates
 
     def test_aggregate_fraction_definition(self):
         report = run_experiment(small_cfg(trials=10))
@@ -257,9 +258,10 @@ class TestCensusExperiment:
             n=400, trials=12, model=OpinionModel("morning_evening", c=1.0), gamma=0.2
         )
         table = census_experiment(cfg)
-        values = list(table.alpha_quantiles.values())
-        assert values == sorted(values)
-        assert 0.0 <= table.positive_excess_fraction <= 1.0
+        values = {row["key"]: row["value"] for row in table.rows}
+        quantiles = [value for key, value in values.items() if key.startswith("alpha_hat_q")]
+        assert len(quantiles) == 5 and quantiles == sorted(quantiles)
+        assert 0.0 <= values["positive_excess_fraction"] <= 1.0
 
     def test_excess_monotone_in_gamma(self):
         base = small_cfg(n=400, trials=8, model=OpinionModel("morning_evening", c=1.0))
@@ -273,19 +275,21 @@ class TestContraction:
     def test_complete_graph_minority_collapses_immediately(self):
         cfg = ExperimentConfig(n=51, p=1.0, trials=10, master_seed=3)
         table = contraction_experiment(cfg, bias_floor=2)
-        assert table.qualifying > 0
+        assert len(table.rows) > 0
         for row in table.rows:
             assert row["minority_share_next"] == 0.0
-        assert table.small_minority_fraction == 1.0
+        small = sum(1 for r in table.rows if r["minority_share_next"] <= 0.45)
+        assert small / len(table.rows) == 1.0
 
     def test_gnp_two_phase_decay(self):
         cfg = ExperimentConfig(n=2000, p=0.05, trials=12, master_seed=9)
         table = contraction_experiment(cfg, bias_floor=40)
-        assert table.qualifying >= 10
+        qualifying = len(table.rows)
+        assert qualifying >= 10
         small = sum(1 for r in table.rows if r["minority_share_next"] <= 0.45)
-        assert small / table.qualifying >= 0.9
+        assert small / qualifying >= 0.9
         monotone = sum(1 for r in table.rows if r["monotone_after_jump"])
-        assert monotone / table.qualifying >= 0.9
+        assert monotone / qualifying >= 0.9
 
     def test_rejects_bad_floor(self):
         with pytest.raises(ValueError):
@@ -310,6 +314,40 @@ class TestBiasSweep:
         table = bias_sweep(cfg, [0, 10, 60])
         fracs = [row["positive_sign_fraction"] for row in table.rows]
         assert fracs[0] <= fracs[1] <= fracs[2] or fracs[2] >= 0.9
+
+
+class TestDensitySweep:
+    @pytest.mark.parametrize("cfg", [
+        small_cfg(trials=4),
+        # a density regime is replaced by each p; the model and gamma are kept
+        ExperimentConfig(n=101, p_spec=PSpec.upper(), trials=3, master_seed=5,
+                         model=OpinionModel("morning_evening", c=1.0), gamma=0.1),
+    ], ids=["uniform", "regime-census"])
+    def test_rows_are_one_experiment_per_density(self, cfg):
+        table = density_sweep(cfg, [0.02, 0.3])
+        assert len(table.rows) == 2
+        for p, row in zip([0.02, 0.3], table.rows):
+            agg = run_experiment(replace(cfg, p=p, p_spec=None)).aggregates
+            assert row == {
+                "p": p,
+                "trials": cfg.trials,
+                "unanimity_fraction": agg["unanimity_fraction"],
+                "median_unanimity_day": agg["median_unanimity_day"],
+            }
+
+
+@pytest.mark.parametrize("make_table", [
+    lambda: growth_ratio_experiment(small_cfg()),
+    lambda: census_experiment(small_cfg(model=OpinionModel("morning_evening", c=1.0), gamma=0.1)),
+    lambda: contraction_experiment(small_cfg(p=0.2), bias_floor=4),
+    lambda: bias_sweep(small_cfg(trials=3), [0, 20]),
+    lambda: density_sweep(small_cfg(trials=3), [0.05, 0.2]),
+], ids=["growth", "census", "contraction", "d-sweep", "p-sweep"])
+def test_every_row_has_exactly_the_table_columns(make_table):
+    table = make_table()
+    assert table.rows
+    for row in table.rows:
+        assert tuple(row) == table.columns
 
 
 class TestWriteReport:
