@@ -12,9 +12,15 @@ identical graph, bit for bit.
 
 Both :func:`sample_gnp` and :func:`from_edges` reduce their edges to sorted
 linear pair indices and share one assembly path: exact integer row starts
-split the indices into upper-triangle CSR, a counting transpose gives the
-lower triangle, and two scatters merge the halves.  No float root and no
-sort or COO conversion is involved.
+split the indices into the upper triangle U's rows, whose int32 columns go
+straight into one array, and the symmetric CSR is ``U + Uᵀ`` (scipy's
+counting transpose and sorted merge).  No float root and no sort or COO
+conversion is involved.  The sampler runs this as one blocked pass: its skip
+gaps are drawn, summed and split into rows at most ``_GAP_BLOCK`` at a time,
+below p = 1/3 straight from standard exponentials as numpy's own geometric
+inversion does, so no index array of the whole graph is ever built and the
+graph and a passed-in Generator's final state are those of the per-chunk
+``rng.geometric`` draws.
 
 The scipy adjacency used by the dynamics stores its ones in the narrowest
 signed dtype that holds every neighbour sum (int8 up to maximum degree
@@ -35,6 +41,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -47,6 +54,8 @@ _VERSION = 1
 _HEADER = struct.Struct("<8sIQQ")
 # bytes of one dense block of V indicators in the edge-count product
 _BLOCK_BYTES = 1 << 23
+# skip gaps drawn, summed and cut into rows at a time by the sampler
+_GAP_BLOCK = 1 << 18
 
 
 def _rng(seed) -> np.random.Generator:
@@ -76,6 +85,9 @@ class Graph:
             raise ValueError("offsets must have length n + 1")
         if self.offsets[0] != 0 or self.offsets[-1] != self.neighbors.size:
             raise ValueError("offsets must start at 0 and end at len(neighbors)")
+        # one pass for both ends: a negative id reads as 2**32 - |id|
+        if self.neighbors.size and self.neighbors.view(np.uint32).max() >= self.n:
+            raise ValueError(f"neighbor id out of range for n={self.n}")
         self.offsets.setflags(write=False)
         self.neighbors.setflags(write=False)
 
@@ -108,9 +120,7 @@ class Graph:
         return state
 
     def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self.offsets.setflags(write=False)
-        self.neighbors.setflags(write=False)
+        self.__init__(**state)
 
     def neighbors_of(self, v: int) -> np.ndarray:
         if not 0 <= v < self.n:
@@ -118,16 +128,15 @@ class Graph:
         return self.neighbors[self.offsets[v]:self.offsets[v + 1]]
 
     def validate(self) -> None:
-        """Check every structural invariant; raises ValueError on the first
-        violation.  O(n + m), meant for tests and untrusted input."""
+        """Check every structural invariant the constructor leaves open;
+        raises ValueError on the first violation.  O(n + m), meant for tests
+        and untrusted input.  Neighbour ids are range-checked on construction."""
         offs, nbrs, n = self.offsets, self.neighbors, self.n
         if np.any(np.diff(offs) < 0):
             raise ValueError("offsets must be non-decreasing")
         if nbrs.size % 2 != 0:
             raise ValueError("adjacency length must be even (both edge directions stored)")
         if nbrs.size:
-            if nbrs.min() < 0 or nbrs.max() >= n:
-                raise ValueError("neighbor id out of range")
             rows = np.repeat(np.arange(n, dtype=np.int32), self.degrees)
             if np.any(nbrs == rows):
                 raise ValueError("self-loop found")
@@ -158,7 +167,7 @@ def from_edges(n: int, edges, p: float | None = None) -> Graph:
     lin = np.sort(_row_start(n, u) + v - u - 1)
     if np.any(lin[1:] == lin[:-1]):
         raise ValueError("duplicate edges are not allowed")
-    return _from_pair_indices(n, lin, p)
+    return _symmetric(n, *_upper_rows(n, [lin], lin.size), p)
 
 
 def _row_start(n: int, u: np.ndarray) -> np.ndarray:
@@ -166,31 +175,105 @@ def _row_start(n: int, u: np.ndarray) -> np.ndarray:
     return u * (n - 1) - u * (u - 1) // 2
 
 
-def _from_pair_indices(n: int, lin: np.ndarray, p: float | None) -> Graph:
-    """Symmetric CSR from sorted, unique linear pair indices.
+def _upper_rows(n: int, blocks, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Upper-triangle CSR (int64 row pointers, int32 columns) from blocks of
+    sorted, unique linear pair indices, each block above the one before.
 
     Pair (u, v), u < v, has index R(u) + v - u - 1 in the lexicographic
-    enumeration.  Row starts R(w) are exact integers, so one binary search
-    splits ``lin`` into upper-triangle rows; a counting transpose gives the
-    lower triangle, and two scatters interleave the halves: in row w every
-    lower neighbour (< w) precedes every upper one (> w), so each merged
-    row comes out sorted.
+    enumeration.  Row starts R(w) are exact integers, so a binary search of
+    the starts a block spans cuts it into rows, and each column is written
+    straight into one int32 array of ``size`` slots (grown if a block runs
+    past them): the difference fits in 32 bits, so the int64 indices never
+    need to outlive their block.
     """
-    m = lin.size
+    starts = _row_start(n, np.arange(n + 1, dtype=np.int64))
+    upptr = np.zeros(n + 1, dtype=np.int64)
+    cols = np.empty(size, dtype=np.int32)
+    done, w = 0, 1  # columns written; row pointers 0..w-1 set
+    for lin in blocks:
+        if lin.size == 0:
+            continue
+        if done + lin.size > cols.size:
+            cols = np.concatenate((cols[:done], np.empty(max(lin.size, cols.size), dtype=np.int32)))
+        end = int(np.searchsorted(starts, lin[-1], side="right"))  # last row + 1
+        cuts = np.searchsorted(lin, starts[w:end])
+        upptr[w:end] = cuts + done
+        rows = np.arange(w - 1, end)
+        base = np.repeat(starts[w - 1:end] - rows - 1, np.diff(cuts, prepend=0, append=lin.size))
+        np.subtract(lin, base, out=cols[done:done + lin.size], casting="unsafe")
+        done += lin.size
+        w = end
+    upptr[w:] = done
+    return upptr, cols[:done]
+
+
+def _symmetric(n: int, upptr: np.ndarray, cols: np.ndarray, p: float | None) -> Graph:
+    """Symmetric CSR from the upper triangle U as ``U + Uᵀ``.
+
+    scipy's counting transpose of U's bool CSR is the CSR of Uᵀ with sorted
+    rows, and its sorted merge of the two (disjoint) patterns gives every
+    row sorted: the lower neighbours (< w) of row w all precede the upper.
+    """
+    m = cols.size
     idx = np.int32 if 2 * m < 2**31 else np.int64
-    w = np.arange(n + 1, dtype=np.int64)
-    starts = _row_start(n, w)
-    upptr = np.searchsorted(lin, starts).astype(idx)
-    upper = np.repeat(starts[:-1] - w[:-1] - 1, np.diff(upptr))
-    np.subtract(lin, upper, out=upper)
-    upper = upper.astype(np.int32)
-    lower = sp.csr_matrix((np.ones(m, dtype=bool), upper, upptr), shape=(n, n)).tocsc()
-    lowptr = lower.indptr.astype(idx, copy=False)
-    neighbors = np.empty(2 * m, dtype=np.int32)
-    neighbors[np.arange(m, dtype=idx) + np.repeat(upptr[:-1], np.diff(lowptr))] = lower.indices
-    neighbors[np.arange(m, dtype=idx) + np.repeat(lowptr[1:], np.diff(upptr))] = upper
-    offsets = upptr.astype(np.int64) + lowptr
-    return Graph(n, offsets, neighbors, p)
+    upper = sp.csr_matrix((np.ones(m, dtype=bool), cols, upptr.astype(idx)), shape=(n, n))
+    both = upper + upper.T.tocsr()
+    return Graph(n, both.indptr.astype(np.int64), both.indices, p)
+
+
+def _gap_source(rng: np.random.Generator, p: float, total: int, size: int):
+    """``draw(k)``, k <= ``size``: the next k skip gaps, equal draw for draw
+    to ``np.clip(rng.geometric(p, size=k), 1, total + 1)``.
+
+    Below p = 1/3 numpy draws a geometric by inversion, ceil(E / -log1p(-p))
+    from one standard exponential E, so the exponentials are drawn straight
+    into a float buffer and inverted there: the same draws and the same
+    gaps, as integer-valued floats.  From 1/3 up its search method is called
+    as is.
+    """
+    if p >= 1.0 / 3.0:
+        return lambda k: np.clip(rng.geometric(p, size=k), 1, total + 1)
+    buf = np.empty(size)
+    scale = -math.log1p(-p)
+    # tiny p saturates the inversion; any gap past total + 1 overshoots the
+    # pair range anyway, so it is capped there (tiny p's first chunk of
+    # about 26 capped gaps still sums inside int64 up to n of about 8e8)
+    cap = np.nextafter(float(total + 1), np.inf)
+
+    def draw(k: int) -> np.ndarray:
+        gaps = rng.standard_exponential(out=buf[:k])
+        with np.errstate(over="ignore"):
+            np.divide(gaps, scale, out=gaps)
+        np.ceil(gaps, out=gaps)
+        return np.clip(gaps, 1.0, cap, out=gaps)
+
+    return draw
+
+
+def _pair_blocks(rng: np.random.Generator, p: float, total: int, chunk: int):
+    """Yield the sorted linear indices of G(n, p)'s pairs, at most
+    ``_GAP_BLOCK`` at a time.
+
+    The gaps come in the chunks of ``rng.geometric(p, size=chunk)`` calls:
+    the first ``chunk``, then max(chunk // 8, 1024) each until one crosses
+    ``total``; the rest of that chunk is drawn and dropped, so the generator
+    ends where those calls would leave it.
+    """
+    step = min(chunk, _GAP_BLOCK)
+    draw = _gap_source(rng, p, total, step)
+    lin = np.empty(step, dtype=np.int64)
+    pos = 0
+    while pos <= total:
+        for at in range(0, chunk, step):
+            k = min(step, chunk - at)
+            gaps = draw(k)
+            if pos > total:
+                continue
+            np.cumsum(gaps, dtype=np.int64, out=lin[:k])
+            lin[:k] += pos - 1
+            pos = int(lin[k - 1]) + 1
+            yield lin[:k] if pos <= total else lin[: np.searchsorted(lin[:k], total)]
+        chunk = max(chunk // 8, 1024)
 
 
 def sample_gnp(n: int, p: float, seed) -> Graph:
@@ -198,10 +281,11 @@ def sample_gnp(n: int, p: float, seed) -> Graph:
 
     The n(n-1)/2 vertex pairs are enumerated in lexicographic order and the
     gap to the next present edge is drawn geometrically, so the dense
-    Bernoulli sweep is never materialized (Batagelj and Brandes 2005).  The
-    cumulative gaps are the sorted, unique linear indices of the present
-    pairs, which :func:`_from_pair_indices` turns into CSR with exact
-    integer arithmetic.
+    Bernoulli sweep is never materialized (Batagelj and Brandes 2005).  One
+    blocked pass draws the gaps, cumsums them into linear pair indices and
+    cuts them into upper-triangle rows; the symmetric CSR is ``U + Uᵀ``.
+    A passed-in Generator is left exactly where the per-chunk
+    ``rng.geometric`` calls would leave it.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -210,26 +294,13 @@ def sample_gnp(n: int, p: float, seed) -> Graph:
     total = n * (n - 1) // 2
     if p == 0.0 or total == 0:
         return Graph(n, np.zeros(n + 1, dtype=np.int64), np.empty(0, dtype=np.int32), p)
-    rng = _rng(seed)
-
+    # 10 sigma above the expected edge count: one chunk nearly always covers
+    # every pair, so the column array is sized once
     expect = total * p
     chunk = int(expect + 10.0 * math.sqrt(expect + 1.0)) + 16
-    parts: list[np.ndarray] = []
-    pos = 0
-    while pos <= total:
-        gaps = rng.geometric(p, size=chunk)
-        # tiny p saturates the int64 inversion; any such gap overshoots the
-        # pair range anyway, so clamping keeps the cumsum overflow-free
-        np.clip(gaps, 1, total + 1, out=gaps)
-        lin = np.cumsum(gaps, out=gaps)
-        lin += pos - 1
-        parts.append(lin)
-        pos = int(lin[-1]) + 1
-        chunk = max(chunk // 8, 1024)
-    # only the last chunk crosses the end of the pair range
-    parts[-1] = parts[-1][: np.searchsorted(parts[-1], total)]
-    lin = parts[0] if len(parts) == 1 else np.concatenate(parts)
-    return _from_pair_indices(n, lin, p)
+    blocks = _pair_blocks(_rng(seed), p, total, chunk)
+    return _symmetric(n, *_upper_rows(n, blocks, min(chunk, total)), p)
+
 
 def degree_stats(g: Graph) -> tuple[int, int, float]:
     """(min degree, max degree, mean degree)."""
@@ -364,32 +435,38 @@ def save_graph(g: Graph, path) -> None:
 def load_graph(path) -> Graph:
     """Read a graph written by :func:`save_graph`.
 
-    Rejects bad magic, unknown versions, truncated files, decreasing
-    offsets and neighbour ids outside ``0..n-1``, so no id can wrap when
-    cast to int32.  Symmetry, sortedness and self-loops are left to
-    :meth:`Graph.validate`: about 0.45 s at n=10^6, p=2e-5 on a 2-core Xeon,
-    adjacency build included, against 0.05-0.12 s for the load itself.
+    Each section is read with ``readinto`` straight into its final array,
+    after the file's length has been checked against the header, so the
+    load holds no copy of the file.  Rejects bad magic, unknown versions,
+    truncated files, decreasing offsets and (through :class:`Graph`)
+    neighbour ids outside ``0..n-1``, so no id can wrap when read as int32.
+    Symmetry, sortedness and self-loops are left to :meth:`Graph.validate`:
+    about 0.45 s at n=10^6, p=2e-5 on a 2-core Xeon, adjacency build
+    included, against about 0.04 s for the load itself.
     """
     try:
         with open(path, "rb") as fh:
-            raw = fh.read()
+            size = os.fstat(fh.fileno()).st_size
+            head = fh.read(_HEADER.size)
+            if len(head) < _HEADER.size:
+                raise ValueError(f"{path}: truncated header")
+            magic, version, n, edge_count = _HEADER.unpack(head)
+            if magic != _MAGIC:
+                raise ValueError(f"{path}: bad magic {magic!r}")
+            if version != _VERSION:
+                raise ValueError(f"{path}: unsupported version {version}")
+            if size != _HEADER.size + 8 * (n + 1) + 4 * 2 * edge_count:
+                raise ValueError(f"{path}: length {size} does not match header")
+            offsets = np.empty(n + 1, dtype="<u8")
+            neighbors = np.empty(2 * edge_count, dtype="<u4")
+            for section in (offsets, neighbors):
+                if fh.readinto(section) != section.nbytes:
+                    raise ValueError(f"{path}: file shrank while being read")
     except OSError as exc:
         raise OSError(f"cannot read graph from {path}: {exc}") from exc
-    if len(raw) < _HEADER.size:
-        raise ValueError(f"{path}: truncated header")
-    magic, version, n, edge_count = _HEADER.unpack_from(raw)
-    if magic != _MAGIC:
-        raise ValueError(f"{path}: bad magic {magic!r}")
-    if version != _VERSION:
-        raise ValueError(f"{path}: unsupported version {version}")
-    off_end = _HEADER.size + 8 * (n + 1)
-    nbr_end = off_end + 4 * 2 * edge_count
-    if len(raw) != nbr_end:
-        raise ValueError(f"{path}: length {len(raw)} does not match header")
-    offsets = np.frombuffer(raw, dtype="<u8", count=n + 1, offset=_HEADER.size).astype(np.int64)
     if np.any(offsets[1:] < offsets[:-1]):
         raise ValueError(f"{path}: offsets decrease")
-    neighbors = np.frombuffer(raw, dtype="<u4", count=2 * edge_count, offset=off_end)
-    if neighbors.size and neighbors.max() >= n:
-        raise ValueError(f"{path}: neighbor id out of range for n={n}")
-    return Graph(n, offsets, neighbors.astype(np.int32))
+    try:
+        return Graph(n, offsets.view("<i8"), neighbors.view("<i4"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

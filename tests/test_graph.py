@@ -11,6 +11,8 @@ import hashlib
 import math
 import pickle
 import tempfile
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -139,6 +141,101 @@ class TestSamplerDigests:
         assert csr_digest(h) == "1301225bbc025016376686b74139300000b4e922550bf59aa571dca0d26c09f4"
 
 
+def _zero_stream():
+    """An MT19937 generator whose state is all zeros: every draw is 0, so
+    every skip gap is 1 and the first chunk never reaches the last pair."""
+    rng = np.random.Generator(np.random.MT19937())
+    rng.bit_generator.state = {"bit_generator": "MT19937",
+                               "state": {"key": np.zeros(624, dtype=np.uint32), "pos": 624}}
+    return rng
+
+
+class TestBlockedSampler:
+    """The blocked pass draws what the per-chunk ``rng.geometric`` calls drew,
+    builds the same bytes, and leaves a passed-in Generator where they did."""
+
+    @pytest.mark.parametrize("p", [
+        5e-324, 1e-300, 1e-12, 2e-5, 0.1, float(np.nextafter(1 / 3, 0)), 1 / 3, 0.5, 1 - 1e-16, 1.0,
+    ])
+    def test_gap_draws_equal_clipped_geometric(self, p):
+        total = 10**12
+        size = 2 * graph_module._GAP_BLOCK + 7
+        step = graph_module._GAP_BLOCK
+        draw = graph_module._gap_source(np.random.default_rng(8), p, total, step)
+        # each draw reuses one buffer, so it is copied out before the next
+        got = np.concatenate([draw(min(step, size - at)).astype(np.int64) for at in range(0, size, step)])
+        want = np.clip(np.random.default_rng(8).geometric(p, size=size), 1, total + 1)
+        assert np.array_equal(got, want)
+
+    # (n, p, seed, edges, CSR digest, the Generator's next random()) as the
+    # per-chunk geometric sampler left them
+    PINNED = [
+        (2000, 0.01, 21, 19788, "1cd87e42b332e095ee90b077627c8ebd7d8cd739b208b34fdff4aa17b848f6c7",
+         0.3411160616252513),
+        (3000, 0.2, 22, 900610, "92892d52ef7230e1ac6d488f191f1b214cbc2a17b745a885e93ed2dd51b1b0cb",
+         0.530824073999742),  # four gap blocks
+        (3000, 1e-8, 23, 0, "5b8ddb0d04d810ce46365f950e5e2fa4965527856af8873a492ac48e8df9654b",
+         0.8283282979898389),
+        (500, 0.5, 24, 62382, "f2cb71e42444090adce614d51bb69221478146461c9735aaba7c19cc335fe1c2",
+         0.6602819891887399),
+        (400, 1 / 3, 25, 26670, "92b6ae997c786f530ca3db0d6cc355b5fe50dae1474ef59de79923c502bbfc93",
+         0.8970237257467281),
+        (300, 1.0, 26, 44850, "5f230967beec171b52440ffbd3d9e41c5df7c0ac83674736b8f3b7d52e3a4c90",
+         0.14295689538945333),
+    ]
+
+    @pytest.mark.parametrize("n, p, seed, edges, digest, after", PINNED)
+    def test_graph_and_generator_state_pinned(self, n, p, seed, edges, digest, after):
+        rng = np.random.default_rng(seed)
+        g = sample_gnp(n, p, rng)
+        assert g.edge_count == edges
+        assert csr_digest(g) == digest
+        assert rng.random() == after
+
+    @pytest.mark.parametrize("n, p, pos", [(100, 1e-6, 308), (100, 0.5, 88), (400, 1e-300, 52),
+                                           (1000, 1e-8, 452)])
+    def test_many_chunks(self, n, p, pos):
+        # every gap is 1, so the pairs take a first chunk and then chunks of
+        # 1024 until the last; ``pos`` is where those calls left MT19937
+        rng = _zero_stream()
+        g = sample_gnp(n, p, rng)
+        assert g.edge_count == n * (n - 1) // 2
+        assert csr_digest(g) == csr_digest(complete_graph(n))
+        assert rng.bit_generator.state["state"]["pos"] == pos
+
+    def test_peak_memory_within_three_outputs(self):
+        sample_gnp(200, 0.05, 0)
+        tracemalloc.start()
+        try:
+            g = sample_gnp(10_000, 0.05, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * (g.offsets.nbytes + g.neighbors.nbytes)
+
+    def test_tiny_p_warns_nothing(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = sample_gnp(1000, 1e-300, 0)
+        assert g.edge_count == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=60),
+        p=st.floats(min_value=0.0, max_value=1.0),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        order=st.randoms(use_true_random=False),
+    )
+    def test_from_edges_rebuilds_the_sample(self, n, p, seed, order):
+        g = sample_gnp(n, p, seed)
+        edges = [(u, int(v)) if order.random() < 0.5 else (int(v), u)
+                 for u in range(n) for v in g.neighbors_of(u) if u < v]
+        order.shuffle(edges)
+        h = from_edges(n, edges)
+        assert np.array_equal(h.offsets, g.offsets)
+        assert np.array_equal(h.neighbors, g.neighbors)
+
+
 class TestFromEdges:
     def test_builds_sorted_adjacency(self):
         g = from_edges(4, [(2, 1), (0, 3), (0, 1)])
@@ -169,11 +266,8 @@ class TestValidate:
         (3, [0, 2, 3, 4], [2, 1, 0, 0], "strictly increasing"),
         (2, [0, 2, 4], [1, 1, 0, 0], "strictly increasing"),
         (2, [0, 1, 1], [1], "must be even"),
-        (2, [0, 1, 2], [-1, 0], "out of range"),
-        (2, [0, 1, 2], [1, 2], "out of range"),
         (3, [0, 2, 1, 2], [1, 2], "non-decreasing"),
-    ], ids=["self-loop", "unsorted", "duplicate", "odd-length", "negative-id", "id-at-n",
-            "decreasing-offsets"])
+    ], ids=["self-loop", "unsorted", "duplicate", "odd-length", "decreasing-offsets"])
     def test_rejects(self, n, offsets, neighbors, message):
         g = Graph(n, offsets, neighbors)
         with pytest.raises(ValueError, match=message):
@@ -181,6 +275,27 @@ class TestValidate:
 
     def test_accepts_a_valid_csr(self):
         Graph(3, [0, 2, 3, 4], [1, 2, 0, 0]).validate()
+
+
+class TestGraphInit:
+    """Neighbour ids are range-checked when a Graph is built, so the step
+    never reads outside its arrays."""
+
+    @pytest.mark.parametrize("n, offsets, neighbors", [
+        (2, [0, 1, 2], [-1, 0]),
+        (2, [0, 1, 2], [1, 2]),
+        (4, [0, 1, 2, 3, 4], [-1, 0, 5, 2]),
+        (2, [0, 1, 2], [1, -2**31]),
+    ], ids=["negative-id", "id-at-n", "both-ends", "int32-min"])
+    def test_rejects_out_of_range_id(self, n, offsets, neighbors):
+        with pytest.raises(ValueError, match="neighbor id out of range"):
+            Graph(n, offsets, neighbors)
+
+    def test_unpickling_checks_ids_too(self):
+        state = path_graph(3).__getstate__()
+        state["neighbors"] = np.array([1, 0, 3, 1], dtype=np.int32)
+        with pytest.raises(ValueError, match="neighbor id out of range"):
+            Graph.__new__(Graph).__setstate__(state)
 
 
 class TestDegreeStats:
