@@ -236,8 +236,7 @@ def _gap_source(rng: np.random.Generator, p: float, total: int, size: int):
     buf = np.empty(size)
     scale = -math.log1p(-p)
     # tiny p saturates the inversion; any gap past total + 1 overshoots the
-    # pair range anyway, so it is capped there (tiny p's first chunk of
-    # about 26 capped gaps still sums inside int64 up to n of about 8e8)
+    # pair range anyway, so it is capped there
     cap = np.nextafter(float(total + 1), np.inf)
 
     def draw(k: int) -> np.ndarray:
@@ -258,10 +257,17 @@ def _pair_blocks(rng: np.random.Generator, p: float, total: int, chunk: int):
     the first ``chunk``, then max(chunk // 8, 1024) each until one crosses
     ``total``; the rest of that chunk is drawn and dropped, so the generator
     ends where those calls would leave it.
+
+    Every sum up to the crossing is below 2 * total + 2, but the capped
+    gaps after it can carry a sub-block's cumsum past int64 once
+    step * total nears 2**63 (n above about 6e6 at full sub-blocks).  There
+    the crossing is found as the first index >= total, which precedes any
+    wrapped sum, instead of by bisection.
     """
     step = min(chunk, _GAP_BLOCK)
     draw = _gap_source(rng, p, total, step)
     lin = np.empty(step, dtype=np.int64)
+    wide = (step + 1) * (total + 1) > 2**62
     pos = 0
     while pos <= total:
         for at in range(0, chunk, step):
@@ -271,8 +277,13 @@ def _pair_blocks(rng: np.random.Generator, p: float, total: int, chunk: int):
                 continue
             np.cumsum(gaps, dtype=np.int64, out=lin[:k])
             lin[:k] += pos - 1
-            pos = int(lin[k - 1]) + 1
-            yield lin[:k] if pos <= total else lin[: np.searchsorted(lin[:k], total)]
+            if wide:
+                end = int(np.argmax(lin[:k] >= total))
+                end = end if lin[end] >= total else k
+            else:
+                end = int(np.searchsorted(lin[:k], total))
+            pos = int(lin[k - 1]) + 1 if end == k else total + 1
+            yield lin[:end]
         chunk = max(chunk // 8, 1024)
 
 

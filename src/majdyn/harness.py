@@ -99,8 +99,8 @@ class ExperimentConfig:
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
         if self.gamma is not None:
-            if self.gamma < 0:
-                raise ValueError("gamma must be non-negative")
+            if not 0.0 <= self.gamma < math.inf:
+                raise ValueError(f"gamma must be finite and non-negative, got {self.gamma}")
             if self.model.kind != "morning_evening":
                 raise ValueError("census threshold gamma applies only to the morning_evening model")
         self.resolved_p()

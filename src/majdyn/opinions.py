@@ -42,6 +42,8 @@ class OpinionModel:
     def validate(self, n: int) -> None:
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown opinion model kind {self.kind!r}")
+        if not math.isfinite(self.c):
+            raise ValueError(f"swing coefficient c must be finite, got {self.c}")
         if self.c and self.kind != "morning_evening":
             raise ValueError("swing coefficient c applies only to the morning_evening model")
         if self.d and self.kind != "fixed_discrepancy":
@@ -99,8 +101,8 @@ def apply_swing(r0: OpinionVector, c: float, seed) -> tuple[OpinionVector, np.nd
     is left unchanged (and returned itself when the swing is empty).
     Raises when fewer -1 vertices are available than the swing size.
     """
-    if c < 0:
-        raise ValueError("swing coefficient must be non-negative")
+    if not 0.0 <= c < math.inf:
+        raise ValueError(f"swing coefficient c must be finite and non-negative, got {c}")
     k = swing_count(r0.n, c)
     negatives = np.flatnonzero(r0.signs() < 0)
     if k > negatives.size:
@@ -151,8 +153,8 @@ def census(g: Graph, r0: OpinionVector, swing_set, gamma: float, p: float) -> Ce
     """
     if r0.n != g.n:
         raise ValueError("opinion vector does not match graph size")
-    if gamma < 0:
-        raise ValueError("gamma must be non-negative")
+    if not 0.0 <= gamma < math.inf:
+        raise ValueError(f"gamma must be finite and non-negative, got {gamma}")
     if not 0.0 < p <= 1.0:
         raise ValueError("p must lie in (0, 1]")
     swing = np.asarray(swing_set, dtype=np.int64)

@@ -1,9 +1,12 @@
 """Exact finite-n probability checks behind the simulation heuristics.
 
 Everything here is deterministic numerics, no Monte Carlo: binomial
-difference laws are computed by exact convolution, tail bounds are compared
-against tails obtained by direct summation, and the normal CDF comes from the
-Cephes erfc-style rational approximation (absolute error far below 1e-12).
+difference laws are computed by exact convolution where a check reads the
+whole law, and as linear sums over the two mass vectors where it reads only
+P[X = Y] and P[X >= Y] (:func:`check_equality_prob`); tail bounds are
+compared against tails obtained by direct summation, and the normal CDF
+comes from the Cephes erfc-style rational approximation (absolute error far
+below 1e-12).
 
 The ``check_*`` functions each return the exact quantity next to the bound
 it is supposed to respect, so callers (tests, the verify-lemmas command)
@@ -174,14 +177,29 @@ def check_binom_shift(a: BinomSpec, b: BinomSpec, c: float = 1.0) -> tuple[float
 
 
 def check_equality_prob(a: BinomSpec, b: BinomSpec) -> tuple[float, float, float]:
-    """(P[X = Y], P[X >= Y], P[X = Y] * sqrt(n*p)) computed exactly."""
+    """(P[X = Y], P[X >= Y], P[X = Y] * sqrt(n*p)) computed exactly.
+
+    Only two numbers of the law of X - Y are needed, so neither goes through
+    the O(n*m) convolution: with k = 1 + min(n, m) shared support points,
+    P[X = Y] = sum_j P[X=j] P[Y=j] and P[X >= Y] = sum_j P[Y=j] P[X >= j],
+    two length-k sums.  P[X = Y] is numpy's correlate over the operands and
+    order that ``np.convolve`` uses for the law's lag 0 (both reversed when
+    Y has the longer support), so its bits are those of
+    ``binom_diff_pmf(a, b).p_eq(0)``; P[X >= Y] agrees with the law's
+    ``p_ge(0)`` to rounding.
+    """
     if a.prob != b.prob:
         raise ValueError("both variables must share the success probability")
     _guard_trials(a, b)
-    ma = _binom_masses(a)
-    d = _diff_pmf(ma, ma if b == a else _binom_masses(b))
-    p_eq = d.p_eq(0)
-    p_ge = d.p_ge(0)
+    mx = _binom_masses(a)
+    my = mx if b == a else _binom_masses(b)
+    k = min(mx.size, my.size)
+    if my.size <= mx.size:
+        p_eq = float(np.correlate(mx[:k], my, "valid")[0])
+    else:
+        p_eq = float(np.correlate(my[k - 1::-1], mx[::-1], "valid")[0])
+    x_tail = np.cumsum(mx[::-1])[::-1]  # P[X >= j]
+    p_ge = float(np.dot(my[:k], x_tail[:k]))
     return p_eq, p_ge, p_eq * math.sqrt(a.trials * a.prob)
 
 

@@ -6,6 +6,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -268,6 +269,14 @@ class TestVerifyLemmas:
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == "d497b258f40a4fd28db4b386de3652ee0c4485c92ba49574d98e7fcc7c17a524"
 
+    def test_benchmark_shape_bytes_pinned(self, capsys):
+        # 200 cases per check and the default seed, as the lemma_sweeps
+        # workload runs it; equality-prob reads two linear sums, not a law
+        code, out, _ = run_cli(capsys, "verify-lemmas", "--max-trials", "200")
+        assert code == 0
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "d2227f89393d080e24418ef25a31d6a6b1690fa2c8472f0244d5609ecd9bc847"
+
     def test_stats_fallback_gives_the_pinned_bytes(self, capsys, monkeypatch):
         # without scipy's private binomial ufunc the masses come from
         # scipy.stats.binom.pmf, byte for byte the same table
@@ -410,6 +419,35 @@ class TestModelParameters:
                                "--model", "morning", "--c", "1", "--gamma", "0.1")
         assert code == 0
         assert all(row["alpha_hat"] != "" for row in parse_csv(out))
+
+    @pytest.mark.parametrize("command", ["run", "census"])
+    @pytest.mark.parametrize("flags, field", [
+        (["--c", "1", "--gamma", "nan"], "gamma"),
+        (["--c", "1", "--gamma", "inf"], "gamma"),
+        (["--c", "nan", "--gamma", "0.1"], "c"),
+        (["--c", "inf", "--gamma", "0.1"], "c"),
+        (["--c=-inf", "--gamma", "0.1"], "c"),
+    ])
+    def test_non_finite_coefficient_flag_is_rejected(self, capsys, command, flags, field):
+        code, out, err = run_cli(capsys, command, "--n", "60", "--p", "0.1", "--trials", "2",
+                                 "--model", "morning", *flags)
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1 and f"{field} must be finite" in err
+
+    @pytest.mark.parametrize("doc, field", [
+        ({"model": {"kind": "morning_evening", "c": 1.0}, "gamma": math.nan}, "gamma"),
+        ({"model": {"kind": "morning_evening", "c": math.nan}}, "c"),
+        ({"model": {"kind": "morning_evening"}, "c": math.inf}, "c"),
+    ])
+    def test_non_finite_coefficient_config_is_rejected(self, capsys, tmp_path, doc, field):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"n": 60, "p": 0.1, "trials": 2, **doc}))
+        assert "NaN" in path.read_text() or "Infinity" in path.read_text()
+        code, out, err = run_cli(capsys, "run", "--config", str(path))
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1 and f"{field} must be finite" in err
 
     def test_outputs_key_rejected(self, capsys, tmp_path):
         path = tmp_path / "cfg.json"

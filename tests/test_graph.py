@@ -219,6 +219,30 @@ class TestBlockedSampler:
             g = sample_gnp(1000, 1e-300, 0)
         assert g.edge_count == 0
 
+    @pytest.mark.parametrize("p", [5e-324, 1e-300, 1e-18, 5e-18, 1e-16])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_pair_indices_exact_near_int64(self, p, seed):
+        # n = 2e9: a sub-block of gaps capped at total + 1 sums past int64,
+        # so the wrapped cumsum must not reach the indices; no n-sized array
+        # is built, only the pair indices, against Python integers
+        n = 2 * 10**9
+        total = n * (n - 1) // 2
+        expect = total * p
+        chunk = int(expect + 10.0 * math.sqrt(expect + 1.0)) + 16  # as sample_gnp sizes it
+        rng = np.random.default_rng(seed)
+        got = [int(v) for block in graph_module._pair_blocks(rng, p, total, chunk) for v in block]
+        ref = np.random.default_rng(seed)
+        want, pos, size = [], 0, chunk
+        while pos <= total:
+            for gap in np.clip(ref.geometric(p, size=size), 1, total + 1).tolist():
+                pos += gap
+                if pos <= total:
+                    want.append(pos - 1)
+            size = max(size // 8, 1024)
+        assert got == want
+        assert all(0 <= v < total for v in got)
+        assert rng.random() == ref.random()
+
     @settings(max_examples=60, deadline=None)
     @given(
         n=st.integers(min_value=1, max_value=60),

@@ -79,6 +79,18 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_cfg(model=OpinionModel("fixed_discrepancy", d=3)).validate()
 
+    @pytest.mark.parametrize("field, value", [
+        ("gamma", math.nan), ("gamma", math.inf), ("c", math.nan), ("c", math.inf), ("c", -math.inf),
+    ])
+    def test_validate_rejects_non_finite_coefficients(self, field, value):
+        doc = config_to_dict(small_cfg(model=OpinionModel("morning_evening", c=1.0), gamma=0.1))
+        doc[field] = value
+        cfg = config_from_dict(json.loads(json.dumps(doc)))
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            cfg.validate()
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            run_experiment(cfg)
+
     @pytest.mark.parametrize("model", [OpinionModel(), OpinionModel("fixed_discrepancy", d=0)])
     def test_gamma_needs_the_census_model(self, model):
         with pytest.raises(ValueError, match="gamma applies only to the morning_evening model"):

@@ -162,6 +162,14 @@ class TestSampleInitial:
         with pytest.raises(ValueError, match=f"only to the {applies_to} model"):
             model.validate(100)
 
+    @pytest.mark.parametrize("kind", ["uniform", "morning_evening"])
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_swing_coefficient(self, kind, c):
+        with pytest.raises(ValueError, match="swing coefficient c must be finite"):
+            OpinionModel(kind, c=c).validate(100)
+        with pytest.raises(ValueError, match="swing coefficient c must be finite"):
+            apply_swing(sample_morning(100, 0), c, 1)
+
 
 class TestCensus:
     def test_path_hand_computed(self):
@@ -268,6 +276,13 @@ class TestCensus:
             census(g, r0, [], gamma=0.5, p=0.0)
         with pytest.raises(ValueError):
             census(g, r0, [5], gamma=0.5, p=0.5)
+
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf])
+    def test_rejects_non_finite_gamma(self, gamma):
+        g = path_graph(3)
+        r0 = OpinionVector.from_signs(np.array([1, -1, 1]))
+        with pytest.raises(ValueError, match="gamma must be finite"):
+            census(g, r0, [], gamma=gamma, p=0.5)
 
 
 class TestDay2Bias:

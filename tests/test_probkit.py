@@ -202,6 +202,46 @@ class TestEqualityProb:
             _, _, ratio = check_equality_prob(BinomSpec(n, 0.05), BinomSpec(n, 0.05))
             assert 0.2 <= ratio <= 0.8
 
+    @pytest.mark.parametrize("n, m, p", [
+        (7, 3, 1 / 3), (3, 7, 1 / 3), (12, 1, 0.7), (0, 5, 0.5), (5, 0, 0.5), (0, 0, 0.3),
+        (9, 6, 1e-9), (6, 9, 1e-9), (9, 6, 1 - 1e-9), (6, 9, 1 - 1e-9),
+        (4, 2, 0.0), (2, 4, 0.0), (4, 2, 1.0), (2, 4, 1.0), (4, 4, 1.0),
+    ])
+    def test_against_fraction_oracle(self, n, m, p):
+        # the float p taken exactly; scipy's masses carry a few ulps each
+        oracle = exact_diff_masses(n, m, Fraction(p))
+        p_eq, p_ge, _ = check_equality_prob(BinomSpec(n, p), BinomSpec(m, p))
+        assert p_eq == pytest.approx(float(oracle.get(0, 0)), abs=1e-14)
+        assert p_ge == pytest.approx(float(sum(v for k, v in oracle.items() if k >= 0)), abs=1e-14)
+
+    def test_needs_no_convolution(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the difference law was built")
+
+        monkeypatch.setattr(np, "convolve", refuse)
+        monkeypatch.setattr(probkit, "_diff_pmf", refuse)
+        for n, m in ((2000, 2000), (2000, 1500), (1500, 2000), (0, 30)):
+            p_eq, p_ge, _ = check_equality_prob(BinomSpec(n, 0.05), BinomSpec(m, 0.05))
+            assert 0.0 < p_eq <= p_ge <= 1.0
+
+    def test_matches_the_difference_law(self):
+        # P[X = Y] is the law's lag-0 mass to the bit, on either side of
+        # n = m and for kernels short enough for numpy's small-correlate loop
+        rng = np.random.default_rng(29)
+        for i in range(300):
+            n = int(rng.integers(0, 12 if i % 3 == 0 else 600))
+            m = n if i % 4 == 0 else int(rng.integers(0, 12 if i % 5 == 0 else 600))
+            p = float(rng.uniform())
+            a, b = BinomSpec(n, p), BinomSpec(m, p)
+            law = binom_diff_pmf(a, b)
+            p_eq, p_ge, _ = check_equality_prob(a, b)
+            assert p_eq == law.p_eq(0)
+            assert p_ge == pytest.approx(law.p_ge(0), abs=5e-15)
+
+    def test_guard_still_applies(self):
+        with pytest.raises(ValueError, match="20000 total trials"):
+            check_equality_prob(BinomSpec(15000, 0.5), BinomSpec(6000, 0.5))
+
 
 def brute_force_tail(z1, z2, w1, w2, ell):
     """Quadruple loop over all four supports; independent of the convolution
