@@ -260,14 +260,12 @@ def _pair_blocks(rng: np.random.Generator, p: float, total: int, chunk: int):
 
     Every sum up to the crossing is below 2 * total + 2, but the capped
     gaps after it can carry a sub-block's cumsum past int64 once
-    step * total nears 2**63 (n above about 6e6 at full sub-blocks).  There
-    the crossing is found as the first index >= total, which precedes any
-    wrapped sum, instead of by bisection.
+    step * total nears 2**63 (n above about 6e6 at full sub-blocks), so the
+    crossing is the first index >= total, which precedes any wrapped sum.
     """
     step = min(chunk, _GAP_BLOCK)
     draw = _gap_source(rng, p, total, step)
     lin = np.empty(step, dtype=np.int64)
-    wide = (step + 1) * (total + 1) > 2**62
     pos = 0
     while pos <= total:
         for at in range(0, chunk, step):
@@ -277,11 +275,8 @@ def _pair_blocks(rng: np.random.Generator, p: float, total: int, chunk: int):
                 continue
             np.cumsum(gaps, dtype=np.int64, out=lin[:k])
             lin[:k] += pos - 1
-            if wide:
-                end = int(np.argmax(lin[:k] >= total))
-                end = end if lin[end] >= total else k
-            else:
-                end = int(np.searchsorted(lin[:k], total))
+            end = int(np.argmax(lin[:k] >= total))
+            end = end if lin[end] >= total else k
             pos = int(lin[k - 1]) + 1 if end == k else total + 1
             yield lin[:end]
         chunk = max(chunk // 8, 1024)

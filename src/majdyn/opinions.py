@@ -42,8 +42,8 @@ class OpinionModel:
     def validate(self, n: int) -> None:
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown opinion model kind {self.kind!r}")
-        if not math.isfinite(self.c):
-            raise ValueError(f"swing coefficient c must be finite, got {self.c}")
+        if not 0.0 <= self.c < math.inf:
+            raise ValueError(f"swing coefficient c must be finite and non-negative, got {self.c}")
         if self.c and self.kind != "morning_evening":
             raise ValueError("swing coefficient c applies only to the morning_evening model")
         if self.d and self.kind != "fixed_discrepancy":
@@ -54,8 +54,6 @@ class OpinionModel:
             if (n + self.d) % 2 != 0:
                 raise ValueError("opinion sum parity must match n")
         if self.kind == "morning_evening":
-            if self.c < 0:
-                raise ValueError("swing coefficient must be non-negative")
             if swing_count(n, self.c) > n - (n + 1) // 2:
                 raise ValueError("swing larger than the available -1 vertices")
 

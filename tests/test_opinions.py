@@ -170,6 +170,11 @@ class TestSampleInitial:
         with pytest.raises(ValueError, match="swing coefficient c must be finite"):
             apply_swing(sample_morning(100, 0), c, 1)
 
+    @pytest.mark.parametrize("kind", ["uniform", "morning_evening"])
+    def test_rejects_negative_swing_coefficient(self, kind):
+        with pytest.raises(ValueError, match="c must be finite and non-negative, got -0.5"):
+            OpinionModel(kind, c=-0.5).validate(100)
+
 
 class TestCensus:
     def test_path_hand_computed(self):
