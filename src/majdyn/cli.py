@@ -2,15 +2,20 @@
 
 Subcommands: run, sweep, census, growth, contraction, verify-lemmas,
 gen-graph.  Data goes to stdout (or -o FILE) in CSV by default, JSON behind
---format json; progress and summaries go to stderr.  Exit codes: 0 success,
-1 validation error (single-line diagnostic on stderr), 2 runtime failure,
-which for ``run`` includes every trial recording an error (the report is
-still written).
+--format json; progress and summaries go to stderr.  Exit codes:
+
+- 0 success, also when the reader of stdout closes it early (``| head``):
+  the output simply ends there, with nothing on stderr (progress lines to a
+  stderr whose reader has gone are dropped the same way);
+- 1 validation error (single-line diagnostic on stderr);
+- 2 runtime failure, which for ``run`` includes every trial recording an
+  error (the report is still written).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 
@@ -33,9 +38,20 @@ class _Parser(argparse.ArgumentParser):
 _VERBOSE = True
 
 
+def _to_devnull(stream) -> None:
+    """Point ``stream``'s descriptor at devnull once its reader has gone, so
+    that later writes, and the interpreter's final flush, fail silently."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, stream.fileno())
+    os.close(devnull)
+
+
 def _log(msg: str) -> None:
     if _VERBOSE:
-        print(msg, file=sys.stderr)
+        try:
+            print(msg, file=sys.stderr)
+        except BrokenPipeError:  # progress only: the command's output goes on
+            _to_devnull(sys.stderr)
 
 
 def _build_parser() -> _Parser:
@@ -121,6 +137,8 @@ def _config_from_args(args, model_kind: str | None = None) -> harness.Experiment
         overrides["n"] = args.n
     if args.p is not None and args.p_regime is not None:
         raise ValueError("--p and --p-regime are mutually exclusive")
+    if args.p_coefficient is not None and args.p_regime is None:
+        raise ValueError("--p-coefficient needs --p-regime")
     if args.p is not None:
         overrides["p"] = args.p
         overrides["p_spec"] = None
@@ -261,7 +279,13 @@ def main(argv=None) -> int:
             parser.print_usage(sys.stderr)
             return 1
         _VERBOSE = not getattr(args, "quiet", False)
-        return _COMMANDS[args.command](args)
+        try:
+            code = _COMMANDS[args.command](args)
+            sys.stdout.flush()  # so a closed pipe raises here, not at exit
+        except BrokenPipeError:  # stdout's reader has gone: the output ends
+            _to_devnull(sys.stdout)
+            return 0
+        return code
     except _UsageError as exc:
         parser.print_usage(sys.stderr)
         print(f"majdyn: error: {exc}", file=sys.stderr)

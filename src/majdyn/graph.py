@@ -26,6 +26,10 @@ The scipy adjacency used by the dynamics stores its ones in the narrowest
 signed dtype that holds every neighbour sum (int8 up to maximum degree
 127), sized from the graph itself.
 
+``scipy.sparse`` is imported on the first adjacency build or CSR assembly,
+not with this module, so ``import majdyn`` loads numpy only and a command
+that never builds a graph (``verify-lemmas``) never loads the sparse stack.
+
 Edge counts e(U, V) between vertex sets, for :func:`edges_between` and the
 jumbledness witness alike, come from one sparse × dense product: the
 indicator vectors of the V sets are stacked as the columns of an n × k
@@ -45,9 +49,12 @@ import os
 import struct
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 _MAGIC = b"MDGRAPH1"
 _VERSION = 1
@@ -56,6 +63,18 @@ _HEADER = struct.Struct("<8sIQQ")
 _BLOCK_BYTES = 1 << 23
 # skip gaps drawn, summed and cut into rows at a time by the sampler
 _GAP_BLOCK = 1 << 18
+# scipy.sparse once _sparse has imported it
+_sp = None
+
+
+def _sparse():
+    """``scipy.sparse``, imported on the first call and kept in ``_sp``."""
+    global _sp
+    if _sp is None:
+        import scipy.sparse
+
+        _sp = scipy.sparse
+    return _sp
 
 
 def _rng(seed) -> np.random.Generator:
@@ -110,7 +129,7 @@ class Graph:
         dtype = np.min_scalar_type(-(int(self.degrees.max()) + 1))
         data = np.ones(self.neighbors.size, dtype=dtype)
         indptr = self.offsets.astype(np.int32) if self.neighbors.size < 2**31 else self.offsets
-        return sp.csr_matrix((data, self.neighbors, indptr), shape=(self.n, self.n))
+        return _sparse().csr_matrix((data, self.neighbors, indptr), shape=(self.n, self.n))
 
     def __getstate__(self) -> dict:
         # the cached views are rebuilt on demand; pickles carry the CSR only
@@ -216,7 +235,7 @@ def _symmetric(n: int, upptr: np.ndarray, cols: np.ndarray, p: float | None) -> 
     """
     m = cols.size
     idx = np.int32 if 2 * m < 2**31 else np.int64
-    upper = sp.csr_matrix((np.ones(m, dtype=bool), cols, upptr.astype(idx)), shape=(n, n))
+    upper = _sparse().csr_matrix((np.ones(m, dtype=bool), cols, upptr.astype(idx)), shape=(n, n))
     both = upper + upper.T.tocsr()
     return Graph(n, both.indptr.astype(np.int64), both.indices, p)
 

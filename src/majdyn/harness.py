@@ -19,7 +19,6 @@ import csv
 import json
 import math
 import statistics
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -256,6 +255,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     if cfg.workers == 1:
         records = [_run_trial(cfg, i, shared) for i in range(cfg.trials)]
     else:
+        # the process pool costs its import only where it is used
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             # one chunk per worker: a quenched graph is pickled once per chunk
             records = list(

@@ -20,6 +20,11 @@ takes most of a second.  The masses are clipped to [0, 1] as the wrapper
 clips them, so they are bitwise the wrapper's.  Should a scipy release drop
 the name, :func:`_binom_masses` falls back to ``scipy.stats.binom.pmf``.
 Each check builds the masses of every law it needs once.
+
+``scipy.special`` itself is imported on the first call that needs it, not
+with this module: the ufunc and ``ndtr`` are then kept in the module
+globals ``_binom_pmf`` and ``_ndtr``, so later calls import nothing.
+Setting ``_binom_pmf`` to None forces the ``scipy.stats`` fallback.
 """
 
 from __future__ import annotations
@@ -28,15 +33,28 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
-
-try:
-    from scipy.special._ufuncs import _binom_pmf
-except ImportError:  # private scipy API; see the module docstring
-    _binom_pmf = None
 
 _CONV_TRIALS_GUARD = 20000
 _BERRY_ESSEEN_GUARD = 10**6
+# scipy.special's functions once _load_special has bound them
+_UNLOADED = object()
+_ndtr = _UNLOADED
+_binom_pmf = _UNLOADED
+
+
+def _load_special() -> None:
+    """Import ``scipy.special`` and bind ``_ndtr`` and, unless it is already
+    set (to the ufunc or to None), ``_binom_pmf``."""
+    global _ndtr, _binom_pmf
+    from scipy import special
+
+    _ndtr = special.ndtr
+    if _binom_pmf is _UNLOADED:
+        try:
+            from scipy.special._ufuncs import _binom_pmf as pmf
+        except ImportError:  # private scipy API; see the module docstring
+            pmf = None
+        _binom_pmf = pmf
 
 
 @dataclass(frozen=True)
@@ -91,6 +109,8 @@ def _binom_masses(spec: BinomSpec) -> np.ndarray:
     to [0, 1] as the rv_discrete wrapper does; without that name it falls
     back to the wrapper, importing ``scipy.stats`` on first use.
     """
+    if _binom_pmf is _UNLOADED:
+        _load_special()
     k = np.arange(spec.trials + 1)
     if _binom_pmf is None:
         from scipy import stats
@@ -140,14 +160,18 @@ def chernoff_lower(mu: float, t: float) -> float:
 def phi(x):
     """Standard normal CDF (Cephes ndtr, erfc-based rational approximation;
     absolute error below 1e-15).  Accepts scalars or arrays."""
-    out = special.ndtr(x)
+    if _ndtr is _UNLOADED:
+        _load_special()
+    out = _ndtr(x)
     return float(out) if np.isscalar(x) else out
 
 
 def psi(x):
     """Standard normal upper tail 1 - phi(x), computed as phi(-x) for
     accuracy in the far tail."""
-    out = special.ndtr(np.negative(x))
+    if _ndtr is _UNLOADED:
+        _load_special()
+    out = _ndtr(np.negative(x))
     return float(out) if np.isscalar(x) else out
 
 
@@ -258,7 +282,7 @@ def berry_esseen_gap(n: int, p: float) -> float:
     cdf = np.cumsum(masses)
     sigma = math.sqrt(n * p * (1.0 - p))
     x = (np.arange(n + 1) - n * p) / sigma
-    return float(np.abs(cdf - special.ndtr(x)).max())
+    return float(np.abs(cdf - phi(x)).max())
 
 
 @dataclass(frozen=True)

@@ -108,6 +108,14 @@ class TestRun:
         assert code == 1
         assert "mutually exclusive" in err
 
+    def test_p_coefficient_without_regime_is_rejected(self, capsys):
+        code, out, err = run_cli(
+            capsys, "run", "--n", "200", "--p", "0.05", "--p-coefficient", "5"
+        )
+        assert code == 1
+        assert out == ""
+        assert "--p-coefficient" in err and "--p-regime" in err
+
     def test_missing_n(self, capsys):
         code, _, err = run_cli(capsys, "run", "--p", "0.1")
         assert code == 1
@@ -541,3 +549,73 @@ def test_import_leaves_scipy_stats_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def _src_env():
+    """Environment whose PYTHONPATH puts this checkout's majdyn first."""
+    return dict(os.environ, PYTHONPATH=str(Path(majdyn.__file__).resolve().parent.parent))
+
+
+@pytest.mark.parametrize("trials", ["2", "300"])
+def test_closed_stdout_ends_quietly(trials):
+    # the reader is gone before the child writes a byte, whether the report
+    # still sits in stdout's buffer at the end (2 trials) or overflows it
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "majdyn.cli", "run", "--n", "200", "--p", "0.05",
+         "--trials", trials, "-q"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=_src_env(),
+    )
+    proc.stdout.close()
+    with proc.stderr:
+        err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 0
+    assert err == ""
+
+
+def test_closed_stderr_still_writes_the_report(tmp_path):
+    # the progress lines are lost, the report and the exit code are not
+    path = tmp_path / "r.csv"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "majdyn.cli", "run", "--n", "40", "--p", "0.1",
+         "--trials", "2", "-o", str(path)],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=_src_env(),
+    )
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0
+    assert len(parse_csv(path.read_text())) == 2
+
+
+class TestColdStart:
+    """``import majdyn`` loads numpy only; each command loads the part of
+    scipy it uses, when it first uses it."""
+
+    @staticmethod
+    def _loaded(code: str) -> list[str]:
+        script = (f"import sys\n{code}\n"
+                  "print(' '.join(sorted(m for m in sys.modules "
+                  "if m.split('.')[0] in ('scipy', 'concurrent'))))")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, timeout=120, env=_src_env())
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.splitlines()[-1].split()
+
+    def test_import_loads_no_scipy_and_no_process_pool(self):
+        loaded = self._loaded("import majdyn")
+        assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
+        assert "concurrent.futures.process" not in loaded
+
+    def test_verify_lemmas_leaves_scipy_sparse_unloaded(self, tmp_path):
+        loaded = self._loaded(
+            "from majdyn.cli import main\n"
+            f"assert main(['verify-lemmas', '--max-trials', '5', '-q', '-o', {str(tmp_path / 'v.csv')!r}]) == 0")
+        assert "scipy.special" in loaded
+        assert [m for m in loaded if m.startswith("scipy.sparse")] == []
+
+    def test_run_leaves_scipy_special_unloaded(self, tmp_path):
+        loaded = self._loaded(
+            "from majdyn.cli import main\n"
+            f"assert main(['run', '--n', '200', '--p', '0.05', '--trials', '2', '-q', "
+            f"'-o', {str(tmp_path / 'r.csv')!r}]) == 0")
+        assert "scipy.sparse" in loaded
+        assert [m for m in loaded if m.startswith("scipy.special")] == []
+        assert "concurrent.futures.process" not in loaded

@@ -260,6 +260,52 @@ class TestBlockedSampler:
         assert np.array_equal(h.neighbors, g.neighbors)
 
 
+class TestSamplerLaw:
+    """Each pair of G(n, p) is present with probability p, over many fixed
+    seeds: the law itself, wherever the crossing of the last pair falls and
+    whichever gap source draws the skips, not only the pinned bytes."""
+
+    N = 9  # 36 pairs, the last of each row at linear index ROW_ENDS[u]
+    ROW_ENDS = np.cumsum(np.arange(N - 1, 0, -1)) - 1
+    SEEDS = 2000
+
+    @classmethod
+    def _presence(cls, mode: str, p: float, seed: int) -> np.ndarray:
+        """Indicator of each pair, in lexicographic order, for one seed."""
+        total = cls.N * (cls.N - 1) // 2
+        if mode == "pairs":
+            # the raw indices, in a first chunk sized as sample_gnp sizes it;
+            # each block is a view of one reused buffer, so it is copied out
+            chunk = int(total * p + 10.0 * math.sqrt(total * p + 1.0)) + 16
+            blocks = graph_module._pair_blocks(np.random.default_rng(seed), p, total, chunk)
+            lin = np.concatenate([block.copy() for block in blocks])
+            hit = np.zeros(total, dtype=bool)
+            hit[lin] = True
+            return hit
+        g = sample_gnp(cls.N, p, seed)
+        dense = np.zeros((cls.N, cls.N), dtype=bool)
+        dense[np.repeat(np.arange(cls.N), g.degrees), g.neighbors] = True
+        return dense[np.triu_indices(cls.N, 1)]
+
+    # below p = 1/3 the gaps come from inverted exponentials, from 1/3 up
+    # from rng.geometric
+    @pytest.mark.parametrize("p", [0.15, 0.6])
+    # one sub-block, or 4-gap sub-blocks: the crossing falls in a middle one
+    # and the rest are drawn and dropped, in the graph and in the raw indices
+    @pytest.mark.parametrize("mode, block", [("graph", None), ("graph", 4), ("pairs", 4)])
+    def test_each_pair_present_with_probability_p(self, monkeypatch, mode, block, p):
+        if block is not None:
+            monkeypatch.setattr(graph_module, "_GAP_BLOCK", block)
+        hits = np.array([self._presence(mode, p, seed) for seed in range(self.SEEDS)])
+        assert self.ROW_ENDS[-1] == hits.shape[1] - 1  # the last pair ends the last row
+        # every pair, the row ends and the last pair among them
+        freq = hits.mean(axis=0)
+        assert np.all(np.abs(freq - p) <= 5.0 * math.sqrt(p * (1.0 - p) / self.SEEDS)), freq
+        # the pair that opens the next row is independent of the row's end
+        both = (hits[:, self.ROW_ENDS[:-1]] & hits[:, self.ROW_ENDS[:-1] + 1]).mean(axis=0)
+        assert np.all(np.abs(both - p * p) <= 5.0 * math.sqrt(p * p * (1.0 - p * p) / self.SEEDS))
+
+
 class TestFromEdges:
     def test_builds_sorted_adjacency(self):
         g = from_edges(4, [(2, 1), (0, 3), (0, 1)])
