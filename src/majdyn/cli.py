@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from . import harness, probkit
 from .graph import sample_gnp, save_graph
@@ -67,7 +67,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--p-coefficient", type=float, default=None,
                        help="coefficient for --p-regime (default 1)")
         p.add_argument("--trials", type=int, help="number of Monte Carlo trials")
-        p.add_argument("--seed", type=int, help="master seed")
+        p.add_argument("--seed", type=int, dest="master_seed", metavar="SEED", help="master seed")
         p.add_argument("--day-cap", type=int, help="maximum simulated days")
         p.add_argument("--quenched", action="store_true", default=None,
                        help="fix one graph across all trials")
@@ -132,46 +132,33 @@ def _config_from_args(args, model_kind: str | None = None) -> harness.Experiment
         if args.n is None:
             raise ValueError("--n is required (or provide --config)")
         cfg = harness.ExperimentConfig(n=args.n, p=args.p)
-    overrides = {}
-    if args.n is not None:
-        overrides["n"] = args.n
     if args.p is not None and args.p_regime is not None:
         raise ValueError("--p and --p-regime are mutually exclusive")
     if args.p_coefficient is not None and args.p_regime is None:
         raise ValueError("--p-coefficient needs --p-regime")
+
+    def given(obj, *special):
+        """The flags given that are named after a field of ``obj``, by field."""
+        return {f.name: getattr(args, f.name) for f in fields(obj)
+                if f.name not in special and getattr(args, f.name, None) is not None}
+
+    overrides = given(cfg, "p", "model")
     if args.p is not None:
-        overrides["p"] = args.p
-        overrides["p_spec"] = None
+        overrides.update(p=args.p, p_spec=None)
     if args.p_regime is not None:
         coeff = 1.0 if args.p_coefficient is None else args.p_coefficient
         maker = harness.PSpec.lower if args.p_regime == "lower" else harness.PSpec.upper
-        overrides["p_spec"] = maker(coeff)
-        overrides["p"] = None
-    if args.trials is not None:
-        overrides["trials"] = args.trials
-    if args.seed is not None:
-        overrides["master_seed"] = args.seed
-    if args.day_cap is not None:
-        overrides["day_cap"] = args.day_cap
-    if args.quenched is not None:
-        overrides["quenched"] = args.quenched
-    if args.workers is not None:
-        overrides["workers"] = args.workers
+        overrides.update(p=None, p_spec=maker(coeff))
+    # --model, or else --d, starts a fresh model of its kind
     model = cfg.model
     if args.model is not None:
         model = OpinionModel(_MODEL_NAMES[args.model])
     elif args.d is not None:
         model = OpinionModel("fixed_discrepancy")
-    if args.d is not None:
-        model = replace(model, d=args.d)
-    if args.c is not None:
-        model = replace(model, c=args.c)
+    model = replace(model, **given(model))
     if model_kind is not None:
         model = replace(model, kind=model_kind)
-    overrides["model"] = model
-    if args.gamma is not None:
-        overrides["gamma"] = args.gamma
-    cfg = replace(cfg, **overrides)
+    cfg = replace(cfg, model=model, **overrides)
     cfg.validate()
     return cfg
 
@@ -236,6 +223,8 @@ def _cmd_contraction(args) -> int:
 
 
 def _cmd_verify_lemmas(args) -> int:
+    if args.seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {args.seed}")
     results = probkit.run_lemma_sweeps(max_cases=args.max_trials, seed=args.seed)
     rows = tuple(
         {"check": r.name, "cases": r.cases, "worst": r.worst, "bound": r.bound,
@@ -253,6 +242,8 @@ def _cmd_verify_lemmas(args) -> int:
 
 
 def _cmd_gen_graph(args) -> int:
+    if args.seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {args.seed}")
     g = sample_gnp(args.n, args.p, args.seed)
     save_graph(g, args.output)
     _log(f"wrote {args.output}: n={g.n} edges={g.edge_count}")

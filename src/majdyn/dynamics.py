@@ -143,7 +143,7 @@ def _step_signs(g: Graph, signs: np.ndarray, positives: int | None = None) -> np
     sums = _neighbor_sums(g, signs, positives)
     # signs fit int8 whatever the sums' dtype, so no wide temporary is made
     out = np.sign(sums, out=np.empty(sums.size, dtype=np.int8), casting="unsafe")
-    np.copyto(out, signs, where=out == 0)  # a tie keeps the old opinion
+    out += signs * (out == 0)  # a tie, and only a tie, keeps the old opinion
     return out
 
 

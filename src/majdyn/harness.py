@@ -19,7 +19,8 @@ import csv
 import json
 import math
 import statistics
-from dataclasses import dataclass, field, fields, replace
+import typing
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -78,7 +79,9 @@ class ExperimentConfig:
     gamma: float | None = None
     day_cap: int = 64
     quenched: bool = False
-    workers: int = 1
+    # never echoed: results are worker-count independent, and reports must
+    # be byte-identical either way
+    workers: int = field(default=1, metadata={"echo": lambda cfg: False})
 
     def resolved_p(self) -> float:
         if (self.p is None) == (self.p_spec is None):
@@ -97,6 +100,9 @@ class ExperimentConfig:
             raise ValueError("day_cap must be at least 1")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
+        for name, seed in (("master_seed", self.master_seed), ("model.seed", self.model.seed)):
+            if seed is not None and seed < 0:
+                raise ValueError(f"{name} must be non-negative, got {seed}")
         if self.gamma is not None:
             if not 0.0 <= self.gamma < math.inf:
                 raise ValueError(f"gamma must be finite and non-negative, got {self.gamma}")
@@ -400,81 +406,77 @@ def auto_bias_floor(cfg: ExperimentConfig, pairs: int = 100) -> int:
 
 
 # -- serialization ----------------------------------------------------------
+#
+# The config dataclasses are the one description of a config document: a
+# field's annotation is its JSON type, and an ``echo`` predicate in its
+# metadata, given the object that holds the field, says whether reports echo it.
 
-def pspec_to_dict(spec: PSpec) -> dict:
-    return {"coefficient": spec.coefficient, "exponent": spec.exponent, "log_power": spec.log_power}
+_JSON_TYPES = {bool: "bool", int: "int", float: "number", str: "string"}
 
 
-def model_to_dict(model: OpinionModel) -> dict:
-    out: dict = {"kind": model.kind}
-    if model.kind == "fixed_discrepancy":
-        out["d"] = model.d
-    if model.kind == "morning_evening":
-        out["c"] = model.c
-    if model.seed is not None:
-        out["seed"] = model.seed
+def config_to_dict(obj) -> dict:
+    """The report echo of a config, or of its model or p_spec: the fields in
+    declaration order, nested ones as objects, leaving out every None and
+    every field whose ``echo`` predicate is false."""
+    out: dict = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        echo = f.metadata.get("echo")
+        if value is not None and (echo is None or echo(obj)):
+            out[f.name] = config_to_dict(value) if is_dataclass(value) else value
     return out
 
 
-def config_to_dict(cfg: ExperimentConfig) -> dict:
-    out: dict = {"n": cfg.n}
-    if cfg.p is not None:
-        out["p"] = cfg.p
-    if cfg.p_spec is not None:
-        out["p_spec"] = pspec_to_dict(cfg.p_spec)
-    out["trials"] = cfg.trials
-    out["master_seed"] = cfg.master_seed
-    out["model"] = model_to_dict(cfg.model)
-    if cfg.gamma is not None:
-        out["gamma"] = cfg.gamma
-    out["day_cap"] = cfg.day_cap
-    out["quenched"] = cfg.quenched
-    # workers is deliberately not echoed: results are worker-count
-    # independent, and reports must be byte-identical either way
-    return out
+def _typed(hint, value, path: str):
+    """``value`` checked against the annotation ``hint``: an int is a JSON
+    integer, a float a JSON integer or float (kept as given), neither ever a
+    bool; null only where the annotation allows None; a dataclass from its
+    JSON object."""
+    kind, *rest = typing.get_args(hint) or (hint,)
+    if value is None and type(None) in rest:
+        return None
+    if is_dataclass(kind):
+        return _from_json(kind, value, path)
+    if isinstance(value, (int, float) if kind is float else kind) and (
+            kind is bool or not isinstance(value, bool)):
+        return value
+    got = json.dumps(value, default=repr)
+    raise ValueError(f"{path} must be a JSON {_JSON_TYPES[kind]}, got {got}")
 
 
-def _check_keys(data: dict, allowed: tuple[str, ...], where: str) -> None:
-    unknown = sorted(set(data) - set(allowed))
+def _from_json(cls, data, path: str):
+    """``cls`` built from the JSON object ``data``, each value checked
+    against its field's annotation; an absent field takes its default."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{path} must be a JSON object, got {json.dumps(data, default=repr)}")
+    hints = typing.get_type_hints(cls)
+    where = path.rpartition(".")[2]
+    unknown = sorted(set(data) - set(hints))
     if unknown:
         raise ValueError(f"unknown {where} keys: {', '.join(unknown)}")
+    for f in fields(cls):
+        if f.name not in data and f.default is MISSING and f.default_factory is MISSING:
+            raise ValueError(f"{where} requires {f.name}")
+    return cls(**{key: _typed(hints[key], value, f"{path}.{key}") for key, value in data.items()})
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    """Inverse of :func:`config_to_dict`; unknown keys are rejected.  A
-    top-level ``c``, as older documents carry it, sets ``model.c``."""
-    if not isinstance(data, dict):
-        raise ValueError("config must be a mapping")
-    _check_keys(
-        data,
-        ("n", "p", "p_spec", "trials", "master_seed", "model", "gamma", "c",
-         "day_cap", "quenched", "workers"),
-        "config",
-    )
-    if "n" not in data:
-        raise ValueError("config requires n")
-    p_spec = None
-    if "p_spec" in data:
-        _check_keys(data["p_spec"], ("coefficient", "exponent", "log_power"), "p_spec")
-        p_spec = PSpec(**data["p_spec"])
-    model = OpinionModel()
-    if "model" in data:
-        _check_keys(data["model"], ("kind", "d", "c", "seed"), "model")
-        model = OpinionModel(**data["model"])
-    if data.get("c") is not None:
-        model = replace(model, c=data["c"])
-    return ExperimentConfig(
-        n=int(data["n"]),
-        p=data.get("p"),
-        p_spec=p_spec,
-        trials=int(data.get("trials", 1)),
-        master_seed=int(data.get("master_seed", 0)),
-        model=model,
-        gamma=data.get("gamma"),
-        day_cap=int(data.get("day_cap", 64)),
-        quenched=bool(data.get("quenched", False)),
-        workers=int(data.get("workers", 1)),
-    )
+    """Inverse of :func:`config_to_dict`, typed by the config dataclasses.
+
+    Unknown keys are rejected.  An int field takes a JSON integer, a float
+    field a JSON integer or float (stored as given, so ``1`` echoes as
+    ``1``), a bool field only ``true`` or ``false``; a nested field takes a
+    JSON object, and null is allowed only where the field may be None.  A
+    mistyped value raises ``ValueError`` naming its path, such as
+    ``config.model.d``.  A top-level ``c``, as older documents carry it,
+    sets ``model.c``.
+    """
+    c = None
+    if isinstance(data, dict) and "c" in data:
+        data = dict(data)
+        c = _typed(float | None, data.pop("c"), "config.c")
+    cfg = _from_json(ExperimentConfig, data, "config")
+    return cfg if c is None else replace(cfg, model=replace(cfg.model, c=c))
 
 
 def load_config(path) -> ExperimentConfig:

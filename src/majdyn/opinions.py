@@ -14,7 +14,7 @@ unstable when its day-zero neighbor sum is exactly zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,8 +35,9 @@ class OpinionModel:
     """
 
     kind: str = "uniform"
-    d: int = 0
-    c: float = 0.0
+    # reports echo d and c only on their own kind
+    d: int = field(default=0, metadata={"echo": lambda m: m.kind == "fixed_discrepancy"})
+    c: float = field(default=0.0, metadata={"echo": lambda m: m.kind == "morning_evening"})
     seed: int | None = None
 
     def validate(self, n: int) -> None:

@@ -153,6 +153,29 @@ class TestConfigFile:
         assert code == 1
         assert "trails" in err
 
+    def test_mistyped_config_exits_1_with_nothing_written(self, capsys, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"n": 60.7, "p": 0.1}))
+        report = tmp_path / "report.csv"
+        code, out, err = run_cli(capsys, "run", "--config", str(path), "-o", str(report))
+        assert code == 1
+        assert out == "" and not report.exists()
+        assert err == "majdyn: error: config.n must be a JSON int, got 60.7\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "--n", "60", "--p", "0.1", "--seed", "-1"], "master_seed must be non-negative"),
+        (["gen-graph", "--n", "60", "--p", "0.1", "--seed", "-3", "-o", "g.bin"],
+         "--seed must be non-negative"),
+        (["verify-lemmas", "--max-trials", "5", "--seed", "-2", "-o", "v.csv"],
+         "--seed must be non-negative"),
+    ])
+    def test_negative_seed_names_its_flag(self, capsys, tmp_path, monkeypatch, argv, message):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == "" and list(tmp_path.iterdir()) == []
+        assert len(err.splitlines()) == 1 and message in err
+
     def test_missing_config_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "run", "--config", str(tmp_path / "nope.json"))
         assert code == 1

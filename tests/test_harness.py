@@ -109,6 +109,10 @@ class TestConfig:
         assert config_from_dict(config_to_dict(cfg)) == cfg
         cfg2 = ExperimentConfig(n=50, p_spec=PSpec.lower(2.0), trials=3)
         assert config_from_dict(config_to_dict(cfg2)) == cfg2
+        # a JSON integer in a float field is kept, and echoed, as given
+        doc = {"n": 50, "p": 1, "trials": 3, "master_seed": 0,
+               "model": {"kind": "morning_evening", "c": 1}, "day_cap": 64, "quenched": False}
+        assert json.dumps(config_to_dict(config_from_dict(doc))) == json.dumps(doc)
 
     def test_model_seed_round_trips(self):
         cfg = small_cfg(model=OpinionModel("uniform", seed=11))
@@ -137,6 +141,48 @@ class TestConfig:
             config_from_dict({"n": 10, "p": 0.1, "pea": 2})
         with pytest.raises(ValueError, match="unknown model keys"):
             config_from_dict({"n": 10, "p": 0.1, "model": {"kind": "uniform", "bias": 1}})
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"n": 60.7}, "config.n must be a JSON int, got 60.7"),
+        ({"n": 100.0}, "config.n must be a JSON int, got 100.0"),
+        ({"trials": 2.9}, "config.trials must be a JSON int, got 2.9"),
+        ({"trials": True}, "config.trials must be a JSON int, got true"),
+        ({"trials": None}, "config.trials must be a JSON int, got null"),
+        ({"quenched": "false"}, 'config.quenched must be a JSON bool, got "false"'),
+        ({"quenched": 0}, "config.quenched must be a JSON bool, got 0"),
+        ({"c": "1"}, 'config.c must be a JSON number, got "1"'),
+        ({"p": "0.1"}, 'config.p must be a JSON number, got "0.1"'),
+        ({"gamma": "0.1"}, 'config.gamma must be a JSON number, got "0.1"'),
+        ({"model": {"kind": "fixed_discrepancy", "d": 2.0}},
+         "config.model.d must be a JSON int, got 2.0"),
+        ({"model": {"kind": "morning_evening", "c": False}},
+         "config.model.c must be a JSON number, got false"),
+        ({"model": "uniform"}, 'config.model must be a JSON object, got "uniform"'),
+        ({"model": None}, "config.model must be a JSON object, got null"),
+        ({"p": None, "p_spec": 1.0}, "config.p_spec must be a JSON object, got 1.0"),
+        ({"p": None, "p_spec": {"coefficient": "1"}},
+         'config.p_spec.coefficient must be a JSON number, got "1"'),
+    ])
+    def test_mistyped_value_is_rejected_by_path(self, doc, message):
+        base = {"n": 60, "p": 0.1, "trials": 2, "master_seed": 1}
+        with pytest.raises(ValueError) as info:
+            config_from_dict(json.loads(json.dumps(dict(base, **doc))))
+        assert str(info.value) == message
+
+    def test_null_on_optional_fields(self):
+        cfg = config_from_dict({"n": 60, "p": None, "p_spec": {"coefficient": 1}, "gamma": None,
+                                "c": None, "model": {"kind": "uniform", "seed": None}})
+        assert cfg == ExperimentConfig(n=60, p_spec=PSpec(1))
+        with pytest.raises(ValueError, match="config requires n"):
+            config_from_dict({"p": 0.1})
+
+    @pytest.mark.parametrize("cfg, name", [
+        (small_cfg(master_seed=-1), "master_seed"),
+        (small_cfg(model=OpinionModel(seed=-2)), "model.seed"),
+    ])
+    def test_negative_seed_names_its_field(self, cfg, name):
+        with pytest.raises(ValueError, match=f"^{name} must be non-negative, got -"):
+            cfg.validate()
 
     def test_load_config_file(self, tmp_path):
         path = tmp_path / "cfg.json"
