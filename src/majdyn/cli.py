@@ -177,20 +177,32 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _number(flag: str, text: str, kind: type):
+    """``kind(text)``, or a ValueError that names ``flag``."""
+    try:
+        return kind(text)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise ValueError(f"{flag}: {text.strip()!r} is not {what}") from None
+
+
 def _cmd_sweep(args) -> int:
     if bool(args.d_values) == bool(args.p_values):
         raise ValueError("provide exactly one of --d-values and --p-values")
+    if args.d_values:
+        grid = [_number("--d-values", v, int) for v in args.d_values.split(",") if v.strip()]
+    else:
+        grid = [_number("--p-values", v, float) for v in args.p_values.split(",") if v.strip()]
     if args.p_values and args.p is None and args.p_regime is None and not args.config:
         # base density is irrelevant here; seed it from the grid
-        first = next((v for v in args.p_values.split(",") if v.strip()), None)
-        if first is None:
+        if not grid:
             raise ValueError("--p-values is empty")
-        args.p = float(first)
+        args.p = grid[0]
     cfg = _config_from_args(args)
     if args.d_values:
-        table = harness.bias_sweep(cfg, [int(v) for v in args.d_values.split(",") if v.strip()])
+        table = harness.bias_sweep(cfg, grid)
     else:
-        table = harness.density_sweep(cfg, [float(v) for v in args.p_values.split(",") if v.strip()])
+        table = harness.density_sweep(cfg, grid)
     harness.write_table(table, args.output or sys.stdout, args.format)
     return 0
 
@@ -213,7 +225,7 @@ def _cmd_contraction(args) -> int:
         floor = harness.auto_bias_floor(cfg)
         _log(f"auto bias floor: {floor}")
     else:
-        floor = int(args.bias_floor)
+        floor = _number("--bias-floor", args.bias_floor, int)
     table = harness.contraction_experiment(cfg, floor)
     harness.write_table(table, args.output or sys.stdout, args.format)
     small = sum(1 for row in table.rows if row["minority_share_next"] <= 0.45)

@@ -10,16 +10,21 @@ Every trajectory eventually becomes periodic with period one or two, so
 :func:`run` only ever reports unanimity, a (possibly period-one) two-cycle,
 or hitting the day cap.
 
-The step works from whichever side needs less.  While the minority holds
-more than n/16 vertices it is one sparse matvec of the signs in the
-adjacency's dtype, the narrowest signed integer holding -deg..deg for the
-graph's maximum degree (int8 at the paper's sparse densities).  Once the
-minority (the k vertices whose sign differs from the majority sign M) has
-16*k <= n, the sums are M*deg - 2*M*cnt, where cnt counts each vertex's
-minority neighbours: a bincount over the minority's neighbour lists, which
-reads about k*deg entries instead of the whole adjacency.  Both ways are
-exact integer arithmetic and give the same sums; :func:`neighbor_sums`
-returns them as int32.  The 1/16 crossover comes from timing both ways at
+The step takes its neighbour sums from a state whose sums are known while
+at most n/16 vertices differ from it, and from one sparse matvec of the
+signs otherwise.  A vertex u that differs from the known state holds
+signs[u] = -known[u], so it moves each neighbour's sum by 2*signs[u]: the
+sums are the known ones plus 2*(count over D+ - count over D-), where D+
+and D- are the differing vertices that now hold +1 and -1, and the counts
+are bincounts over their neighbour lists, reading about |D|*deg entries
+instead of the whole adjacency.  The known state is one the caller hands
+over (the census hands :func:`run` its un-swung days 0 and 1), else the
+nearer unanimous state M, whose sums are M*deg and which differs on the
+minority.  The matvec is taken in the adjacency's dtype, the narrowest
+signed integer holding -deg..deg for the graph's maximum degree (int8 at
+the paper's sparse densities).  Every way is exact integer arithmetic and
+gives the same sums; :func:`neighbor_sums` returns them as int32.  The
+1/16 crossover comes from timing the matvec against the minority side at
 n=10^5 and n=10^6, mean degree 20; it is not a tuning knob.
 
 A unanimous state is fixed (every vertex sees M*deg, and an isolated one
@@ -32,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, _gathered_neighbors
+from .graph import Graph
 
 class OpinionVector:
     """One opinion per vertex: a read-only int8 array of +1/-1.
@@ -95,32 +100,65 @@ class OpinionVector:
         return f"OpinionVector(n={self.n}, bias={self.bias()})"
 
 
-# the minority-side sums are used while 16 * minority <= n
-_MINORITY_SHARE = 16
+# sums are taken from a known state while 16 * (vertices that differ) <= n
+_DELTA_SHARE = 16
 
 
-def _neighbor_sums(g: Graph, signs: np.ndarray, positives: int | None = None) -> np.ndarray:
+def _neighbor_sums(
+    g: Graph, signs: np.ndarray, positives: int | None = None, known=None
+) -> np.ndarray:
     """Per-vertex sum of neighbor opinions, exact in any signed dtype.
 
     ``positives`` is the +1 count of ``signs`` when the caller already has
-    it.  A small minority is summed from its own side (int64 sums), else
-    the whole adjacency is multiplied in its degree-sized dtype (int8 at
-    mean degree 20).
+    it.  ``known`` is a (signs, sums) pair of a state whose neighbour sums
+    are known.  The sums come from ``known``, else from the nearer
+    unanimous state, as int64, whichever first differs from ``signs`` on at
+    most n/16 vertices; otherwise the whole adjacency is multiplied in its
+    degree-sized dtype (int8 at mean degree 20).
     """
     n = g.n
+    if known is not None:
+        known_signs, known_sums = known
+        differ = signs != known_signs
+        k = int(np.count_nonzero(differ))
+        if _DELTA_SHARE * k <= n:
+            if k == 0:
+                return known_sums
+            changed = np.flatnonzero(differ)
+            now_plus = signs[changed] > 0
+            return _shifted_sums(g, known_sums, 1, changed[now_plus], changed[~now_plus])
     if positives is None:
         positives = int(np.count_nonzero(signs > 0))
-    if _MINORITY_SHARE * min(positives, n - positives) > n:
+    if _DELTA_SHARE * min(positives, n - positives) > n:
         a = g._adjacency
         return a @ signs.astype(a.dtype, copy=False)
+    # unanimous M has sums M*deg, and each minority vertex holds -M
     majority = 1 if 2 * positives > n else -1
-    # M*deg - 2*M*cnt, built in place in bincount's int64 counts
-    sums = np.bincount(_gathered_neighbors(g, np.flatnonzero(signs != majority)), minlength=n)
-    sums *= -2 * majority
+    minority = np.flatnonzero(signs != majority)
+    none = minority[:0]
     if majority > 0:
-        sums += g.degrees
+        return _shifted_sums(g, g.degrees, 1, none, minority)
+    return _shifted_sums(g, g.degrees, -1, minority, none)
+
+
+def _shifted_sums(g: Graph, base: np.ndarray, sign: int, plus, minus) -> np.ndarray:
+    """``sign * base + 2 * (c(plus) - c(minus))`` in int64, where c(S) counts
+    each vertex's neighbours in S: the sums of a state that holds +1 on
+    ``plus`` and -1 on ``minus`` and elsewhere equals the state whose sums
+    are ``sign * base``.  Built in place in bincount's counts."""
+    a = g._adjacency
+    if plus.size:
+        sums = np.bincount(a[plus].indices, minlength=g.n)
+        if minus.size:
+            sums -= np.bincount(a[minus].indices, minlength=g.n)
+        sums *= 2
     else:
-        sums -= g.degrees
+        sums = np.bincount(a[minus].indices, minlength=g.n)
+        sums *= -2
+    if sign > 0:
+        sums += base
+    else:
+        sums -= base
     return sums
 
 
@@ -139,19 +177,27 @@ def neighbor_sum(g: Graph, s: OpinionVector, v: int) -> int:
     return int(s.signs()[g.neighbors_of(v)].sum(dtype=np.int64))
 
 
-def _step_signs(g: Graph, signs: np.ndarray, positives: int | None = None) -> np.ndarray:
-    sums = _neighbor_sums(g, signs, positives)
+def _next_signs(sums: np.ndarray, signs: np.ndarray) -> np.ndarray:
     # signs fit int8 whatever the sums' dtype, so no wide temporary is made
     out = np.sign(sums, out=np.empty(sums.size, dtype=np.int8), casting="unsafe")
     out += signs * (out == 0)  # a tie, and only a tie, keeps the old opinion
     return out
 
 
-def majority_step(g: Graph, s: OpinionVector) -> OpinionVector:
-    """One synchronous day of the dynamics; the input is not modified."""
+def majority_step(g: Graph, s: OpinionVector, *, sums: np.ndarray | None = None) -> OpinionVector:
+    """One synchronous day of the dynamics; the input is not modified.
+
+    ``sums``, when given, must be ``s``'s own neighbour sums in any signed
+    integer dtype (as :func:`neighbor_sums` gives them); the step reads
+    them instead of computing them.
+    """
     if s.n != g.n:
         raise ValueError("opinion vector does not match graph size")
-    return OpinionVector(_step_signs(g, s.signs(), s.positives()))
+    if sums is None:
+        sums = _neighbor_sums(g, s.signs(), s.positives())
+    elif np.shape(sums) != (g.n,):
+        raise ValueError("neighbour sums do not match graph size")
+    return OpinionVector(_next_signs(sums, s.signs()))
 
 
 def majority_step_reference(g: Graph, s: OpinionVector) -> OpinionVector:
@@ -201,18 +247,26 @@ class Trajectory:
     day_cap: int
 
 
-def run(g: Graph, s0: OpinionVector, day_cap: int = 64) -> Trajectory:
+def run(g: Graph, s0: OpinionVector, day_cap: int = 64, reference=None) -> Trajectory:
     """Iterate the dynamics from ``s0`` until the trajectory settles.
 
     Stops at the first day d with s_d == s_{d-1} (unanimous fixed point or
     period-one non-unanimous fixed point), s_d == s_{d-2} (two-cycle), or
     at ``day_cap``.  Day 0 is the initial state; an initially unanimous
     state reports day 0 even though its fixedness is confirmed on day 1.
+
+    ``reference``, when given, is a sequence of (signs, sums) pairs, each a
+    state and its exact neighbour sums, such as a census's un-swung days 0
+    and 1.  The step from day d - 1 sums from pair d - 1 while few vertices
+    differ from it; the trajectory is the same with or without them.
     """
     if s0.n != g.n:
         raise ValueError("opinion vector does not match graph size")
     if day_cap < 1:
         raise ValueError("day_cap must be at least 1")
+    reference = () if reference is None else tuple(reference)
+    if any(np.shape(x) != (g.n,) for pair in reference for x in pair):
+        raise ValueError("reference state does not match graph size")
     n = g.n
     cur = s0.signs()
     prev2: np.ndarray | None = None
@@ -225,7 +279,8 @@ def run(g: Graph, s0: OpinionVector, day_cap: int = 64) -> Trajectory:
             days.append(DayRecord(bias=2 * pos - n, flips=0, positives=pos))
             outcome = Outcome("unanimous", day=d - 1, sign=1 if pos == n else -1)
             return Trajectory(tuple(days), outcome, day_cap)
-        nxt = _step_signs(g, cur, pos)
+        known = reference[d - 1] if d <= len(reference) else None
+        nxt = _next_signs(_neighbor_sums(g, cur, pos, known), cur)
         flips = int(np.count_nonzero(nxt != cur))
         pos = int(np.count_nonzero(nxt > 0))
         days.append(DayRecord(bias=2 * pos - n, flips=flips, positives=pos))

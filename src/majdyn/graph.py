@@ -347,20 +347,6 @@ class JumblednessEstimate:
     min_degree: int
 
 
-def _gathered_neighbors(g: Graph, verts: np.ndarray) -> np.ndarray:
-    """Concatenated neighbor lists of ``verts`` without a Python loop."""
-    starts = g.offsets[verts]
-    counts = g.offsets[verts + 1] - starts
-    totaln = int(counts.sum())
-    if totaln == 0:
-        return np.empty(0, dtype=np.int32)
-    # entry j of the output sits at offset j - (counts before its vertex)
-    # past that vertex's start
-    idx = np.repeat(starts + counts - np.cumsum(counts), counts)
-    idx += np.arange(totaln, dtype=np.int64)
-    return g.neighbors[idx]
-
-
 def _edge_counts(g: Graph, pairs):
     """Yield (U, V, e(U, V)) for each (U, V) in ``pairs``, one sparse × dense
     product per block of at most ``_BLOCK_BYTES`` of V indicators.

@@ -167,7 +167,11 @@ def _run_trial(cfg: ExperimentConfig, index: int, shared_graph: Graph | None = N
             swing_size = int(swing.size)
             if cfg.gamma is not None:
                 census_report = census(g, r0, swing, cfg.gamma, p)
-        traj = run(g, s0, cfg.day_cap)
+        if census_report is None:
+            traj = run(g, s0, cfg.day_cap)
+        else:
+            # the swung run's first two days sum from the census's days
+            traj = run(g, s0, cfg.day_cap, reference=census_report.reference)
         out = traj.outcome
         record = TrialRecord(
             index=index,

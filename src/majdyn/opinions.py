@@ -8,7 +8,9 @@ uniformly chosen -1 vertices flipped to +1.
 The census classifies vertices after one un-swung day: vertex v counts as
 almost-positive when the signed sum of its neighbors' day-one opinions
 exceeds -gamma * p^{3/2} * n (strict, nominal sampling density p), and as
-unstable when its day-zero neighbor sum is exactly zero.
+unstable when its day-zero neighbor sum is exactly zero.  It computes the
+day-zero and day-one sums once each and hands both days, with their sums,
+to the swung run, whose first two days differ from them on few vertices.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import OpinionVector, _neighbor_sums, majority_step
-from .graph import Graph, _gathered_neighbors, _rng
+from .graph import Graph, _rng
 
 MODEL_KINDS = ("uniform", "fixed_discrepancy", "morning_evening")
 
@@ -131,7 +133,12 @@ def sample_initial(model: OpinionModel, n: int, seed) -> tuple[OpinionVector, np
 
 @dataclass(frozen=True)
 class CensusReport:
-    """Day-one census counts; excess = almost_positive - ceil(n/2)."""
+    """Day-one census counts; excess = almost_positive - ceil(n/2).
+
+    ``reference`` holds the un-swung days 0 and 1 as (signs, sums) pairs of
+    read-only arrays, for ``run(..., reference=...)``; it takes no part in
+    equality or the repr.
+    """
 
     gamma: float
     threshold: float
@@ -139,16 +146,19 @@ class CensusReport:
     unstable: int
     unstable_with_swing: int
     excess: int
+    reference: tuple = field(default=(), compare=False, repr=False)
 
 
 def census(g: Graph, r0: OpinionVector, swing_set, gamma: float, p: float) -> CensusReport:
     """Classify vertices after one day of the un-swung dynamics.
 
     The day-one state is one majority step from ``r0`` (the swing set plays
-    no role in it); almost-positive uses the strict threshold
-    -gamma * p^{3/2} * n with the nominal density ``p``.  Unstable vertices
-    have day-zero neighbor sum exactly 0; ``unstable_with_swing`` counts the
-    unstable vertices adjacent to at least one swing vertex.
+    no role in it), stepped from the day-zero sums; almost-positive uses the
+    strict threshold -gamma * p^{3/2} * n with the nominal density ``p``.
+    Unstable vertices have day-zero neighbor sum exactly 0;
+    ``unstable_with_swing`` counts the unstable vertices adjacent to at
+    least one swing vertex.  The report's ``reference`` carries days 0 and
+    1 with their sums.
     """
     if r0.n != g.n:
         raise ValueError("opinion vector does not match graph size")
@@ -159,13 +169,15 @@ def census(g: Graph, r0: OpinionVector, swing_set, gamma: float, p: float) -> Ce
     swing = np.asarray(swing_set, dtype=np.int64)
     if swing.size and (swing.min() < 0 or swing.max() >= g.n):
         raise ValueError("swing vertex id out of range")
-    r1 = majority_step(g, r0)
+    sums0 = _neighbor_sums(g, r0.signs(), r0.positives())
+    r1 = majority_step(g, r0, sums=sums0)
     sums1 = _neighbor_sums(g, r1.signs())
+    sums0.flags.writeable = sums1.flags.writeable = False
     threshold = -gamma * p ** 1.5 * g.n
     almost_positive = int(np.count_nonzero(sums1 > threshold))
-    unstable_mask = _neighbor_sums(g, r0.signs()) == 0
+    unstable_mask = sums0 == 0
     touches_swing = np.zeros(g.n, dtype=bool)
-    touches_swing[_gathered_neighbors(g, swing)] = True
+    touches_swing[g._adjacency[swing].indices] = True
     return CensusReport(
         gamma=gamma,
         threshold=threshold,
@@ -173,6 +185,7 @@ def census(g: Graph, r0: OpinionVector, swing_set, gamma: float, p: float) -> Ce
         unstable=int(np.count_nonzero(unstable_mask)),
         unstable_with_swing=int(np.count_nonzero(unstable_mask & touches_swing)),
         excess=almost_positive - (g.n + 1) // 2,
+        reference=((r0.signs(), sums0), (r1.signs(), sums1)),
     )
 
 

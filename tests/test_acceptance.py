@@ -2,9 +2,10 @@
 
 Each test prints a single ``criterion NN PASS/FAIL`` line with the measured
 quantities (visible under ``pytest -s``, or in the captured-output section on
-failure) and then asserts.  Monte Carlo criteria run at frozen seeds whose
-margins were pinned by scripts/pilot_thresholds.py; timing criteria take the
-best of a few repeats to damp scheduler noise.
+failure) and then asserts.  Monte Carlo criteria run at frozen seeds, and
+their lines also carry the spread behind each margin (unanimity days, alpha
+quantiles, skipped trials), so a drift shows before a threshold is crossed;
+timing criteria take the best of a few repeats to damp scheduler noise.
 """
 
 from __future__ import annotations
@@ -145,11 +146,13 @@ def test_c06_fast_unanimity_at_desk_scale():
         if t.outcome == "unanimous" and t.sign == (1 if t.s0_bias > 0 else -1)
     )
     sign_frac = matched / len(signed)
+    days = sorted(t.unanimity_day for t in unanimous) or [None]
     ok = frac >= 0.9 and early >= 0.9 and sign_frac >= 0.95 and elapsed < 120.0
     _verdict(
         6, "fast unanimity at n=1e4 p=0.03",
         ok,
         f"unanimity {frac:.2f}, day<=8 {early:.2f}, sign match {sign_frac:.2f}, "
+        f"unanimity days {days[0]}..{days[-1]} median {days[len(days) // 2]}, "
         f"{elapsed:.0f}s",
     )
 
@@ -160,12 +163,14 @@ def test_c07_almost_positive_excess():
         model=OpinionModel("morning_evening", c=1.0), gamma=0.1,
     )
     report = run_experiment(cfg)
-    positive = report.aggregates["positive_excess_fraction"]
-    median_alpha = report.aggregates["alpha_hat_q50"]
+    agg = report.aggregates
+    positive = agg["positive_excess_fraction"]
+    median_alpha = agg["alpha_hat_q50"]
     _verdict(
         7, "positive census excess under a swung start",
         positive >= 0.8 and median_alpha > 0,
-        f"excess>0 in {positive:.2f} of trials, median alpha {median_alpha:.4f}",
+        f"excess>0 in {positive:.2f} of trials, median alpha {median_alpha:.4f}, "
+        f"alpha q10..q90 {agg['alpha_hat_q10']:.4f}..{agg['alpha_hat_q90']:.4f}",
     )
 
 
@@ -182,7 +187,9 @@ def test_c08_one_day_amplification_scale():
     ok = 0.3 * root <= med <= 3.0 * root
     _verdict(
         8, "first-day bias amplification near sqrt(n p)",
-        ok, f"median ratio {med:.2f} vs sqrt(np) {root:.1f}, {len(ratios)} trials used",
+        ok,
+        f"median ratio {med:.2f} vs sqrt(np) {root:.1f}, {len(ratios)} trials used, "
+        f"{len(report.trials) - len(ratios)} skipped",
     )
 
 

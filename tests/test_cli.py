@@ -180,6 +180,21 @@ class TestConfigFile:
         code, _, err = run_cli(capsys, "run", "--config", str(tmp_path / "nope.json"))
         assert code == 1
 
+    @pytest.mark.parametrize("argv, message", [
+        (["sweep", "--n", "100", "--p", "0.1", "--trials", "2", "--d-values", "1.5"],
+         "--d-values: '1.5' is not an integer"),
+        (["sweep", "--n", "100", "--trials", "2", "--p-values", "0.1,abc"],
+         "--p-values: 'abc' is not a number"),
+        (["sweep", "--n", "100", "--p", "0.1", "--trials", "2", "--p-values", "0.1, abc"],
+         "--p-values: 'abc' is not a number"),
+        (["contraction", "--n", "100", "--p", "0.1", "--trials", "2", "--bias-floor", "x"],
+         "--bias-floor: 'x' is not an integer"),
+    ])
+    def test_malformed_value_names_its_flag(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv, "-q")
+        assert code == 1 and out == ""
+        assert err == f"majdyn: error: {message}\n"
+
 
 class TestSweep:
     def test_d_values(self, capsys):

@@ -450,6 +450,73 @@ class TestRunMatchesReference:
         assert (days, (o.kind, o.day, o.sign, o.period)) == reference_run(g, s0, day_cap)
 
 
+def flipped(s, k, seed):
+    """``s`` with ``k`` vertices, chosen at random, turned over."""
+    signs = s.signs().copy()
+    signs[np.random.default_rng(seed).choice(s.n, size=k, replace=False)] *= -1
+    return OpinionVector(signs)
+
+
+def distances(n):
+    """Distances from a state to its known reference: none, a few
+    vertices, and past the n/16 crossover."""
+    return st.one_of(
+        st.just(0),
+        st.integers(min_value=1, max_value=min(3, n)),
+        st.integers(min_value=min(n // 16 + 1, n), max_value=n),
+    )
+
+
+class TestKnownSums:
+    """Sums taken from a known state plus the vertices that differ from it
+    must equal the sums taken from scratch, on every side of n/16."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=300),
+        p=st.floats(min_value=0.0, max_value=0.4),
+        day_cap=st.integers(min_value=1, max_value=8),
+        seed=st.integers(min_value=0, max_value=2**31),
+        data=st.data(),
+    )
+    def test_run_and_step_equal_their_unreferenced_forms(self, n, p, day_cap, seed, data):
+        g = sample_gnp(n, p, seed)
+        s0 = s = sample_uniform(n, seed + 1)
+        expected = run(g, s0, day_cap)
+        reference = []
+        for day in range(data.draw(st.integers(min_value=0, max_value=3))):
+            k = data.draw(distances(n))
+            known = flipped(s, k, seed + 2 + day)
+            sums = neighbor_sums(g, known)
+            reference.append((known.signs(), sums))
+            got = _neighbor_sums(g, s.signs(), known=(known.signs(), sums))
+            assert np.array_equal(got, neighbor_sums(g, s))
+            assert majority_step(g, s, sums=neighbor_sums(g, s)) == majority_step(g, s)
+            s = majority_step(g, s)
+        assert run(g, s0, day_cap, reference=reference) == expected
+
+    @pytest.mark.parametrize("n", [160, 1007])
+    def test_both_sides_of_the_crossover(self, n):
+        g = sample_gnp(n, 12.0 / n, n)
+        s = sample_initial(OpinionModel("morning_evening"), n, 1)[0]
+        for k, from_known in ((0, True), (n // 16, True), (n // 16 + 1, False)):
+            known = flipped(s, k, k)
+            sums = neighbor_sums(g, known)
+            got = _neighbor_sums(g, s.signs(), s.positives(), (known.signs(), sums))
+            # a balanced state has no small minority, so int64 sums came from
+            # the known state; the matvec keeps the adjacency's dtype
+            assert (got.dtype == np.int64 or got is sums) == from_known
+            assert np.array_equal(got, neighbor_sums(g, s))
+
+    def test_known_state_of_the_wrong_size_is_rejected(self):
+        g = path_graph(3)
+        s = vec(1, -1, 1)
+        with pytest.raises(ValueError):
+            run(g, s, 5, reference=[(s.signs(), np.zeros(4, dtype=np.int32))])
+        with pytest.raises(ValueError):
+            majority_step(g, s, sums=np.zeros(2, dtype=np.int32))
+
+
 def trajectory_rows(traj):
     o = traj.outcome
     return [[[d.bias, d.flips, d.positives] for d in traj.days],

@@ -33,9 +33,30 @@ from majdyn import (
     growth_ratio_experiment,
     load_config,
     run_experiment,
+    sample_gnp,
     write_report,
 )
+from majdyn import harness
 from majdyn.harness import aggregates_path, report_to_dict
+
+
+class CountingAdjacency:
+    """Stands in for a graph's cached adjacency: forwards everything to the
+    CSR matrix and counts its full products ``a @ x``."""
+
+    def __init__(self, a):
+        self.a = a
+        self.products = 0
+
+    def __matmul__(self, x):
+        self.products += 1
+        return self.a @ x
+
+    def __getitem__(self, key):
+        return self.a[key]
+
+    def __getattr__(self, name):
+        return getattr(self.a, name)
 
 
 def small_cfg(**kw):
@@ -249,6 +270,48 @@ class TestRunExperiment:
             assert t.unanimity_day <= 2
             expected = 1 if t.s0_bias > 0 else -1
             assert t.sign == expected
+
+    def test_quenched_census_bytes_across_worker_counts(self, tmp_path):
+        # the swing census on one shared graph at desk scale, where the run
+        # takes its first two days from the census's sums
+        cfg = ExperimentConfig(
+            n=10**4, p=2e-3, trials=6, master_seed=11, quenched=True,
+            model=OpinionModel("morning_evening", c=1.0), gamma=0.1,
+        )
+        blobs = []
+        for workers in (1, 2):
+            report = run_experiment(replace(cfg, workers=workers))
+            assert all(t.outcome != "error" for t in report.trials)
+            jp, cp = tmp_path / f"w{workers}.json", tmp_path / f"w{workers}.csv"
+            write_report(report, jp, "json")
+            files = write_report(report, cp, "csv")
+            blobs.append(jp.read_bytes() + b"".join(Path(f).read_bytes() for f in files))
+        assert blobs[0] == blobs[1]
+
+    def test_census_trial_makes_two_products_and_none_on_days_one_and_two(self, monkeypatch):
+        cfg = ExperimentConfig(
+            n=10**4, p=2e-3, trials=1, master_seed=5, day_cap=2,
+            model=OpinionModel("morning_evening", c=1.0), gamma=0.1,
+        )
+        g = sample_gnp(cfg.n, cfg.p, 21)
+        expected = harness._run_trial(cfg, 0, shared_graph=g)
+        counter = CountingAdjacency(g._adjacency)
+        g.__dict__["_adjacency"] = counter
+        products = {}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                before = counter.products
+                out = fn(*args, **kwargs)
+                products[name] = counter.products - before
+                return out
+            return wrapper
+
+        monkeypatch.setattr(harness, "census", counted("census", harness.census))
+        monkeypatch.setattr(harness, "run", counted("run", harness.run))
+        record = harness._run_trial(cfg, 0, shared_graph=g)
+        assert record == expected and record.days_simulated == 2
+        assert products == {"census": 2, "run": 0}
 
     def test_census_fields_present_for_morning_model(self):
         cfg = small_cfg(

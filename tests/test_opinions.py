@@ -7,6 +7,7 @@ and the gamma=1, p=0.5 threshold is -3/(2*sqrt(2)) ~ -1.06.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -271,6 +272,24 @@ class TestCensus:
         rep = census(g, r0, swing, gamma=0.1, p=p)
         assert rep.unstable == np.count_nonzero(unstable)
         assert rep.unstable_with_swing == np.count_nonzero(unstable & touches)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_reference_carries_days_zero_and_one(self, seed):
+        n = 300 + 37 * seed
+        g = sample_gnp(n, 0.04, seed)
+        r0 = sample_morning(n, seed + 1)
+        s0, swing = apply_swing(r0, 1.0, seed + 2)
+        rep = census(g, r0, swing, gamma=0.1, p=0.04)
+        (signs0, sums0), (signs1, sums1) = rep.reference
+        assert np.array_equal(signs0, r0.signs())
+        assert np.array_equal(signs1, majority_step(g, r0).signs())
+        assert np.array_equal(sums0, neighbor_sums(g, r0))
+        assert np.array_equal(sums1, neighbor_sums(g, OpinionVector.from_signs(signs1)))
+        assert not any(a.flags.writeable for pair in rep.reference for a in pair)
+        # the arrays stay out of equality and the repr
+        assert rep == dataclasses.replace(rep, reference=())
+        assert "reference" not in repr(rep)
+        assert run(g, s0, 64, reference=rep.reference) == run(g, s0, 64)
 
     def test_rejects_bad_arguments(self):
         g = path_graph(3)
