@@ -193,7 +193,10 @@ def _cmd_sweep(args) -> int:
         grid = [_number("--d-values", v, int) for v in args.d_values.split(",") if v.strip()]
     else:
         grid = [_number("--p-values", v, float) for v in args.p_values.split(",") if v.strip()]
-    if args.p_values and args.p is None and args.p_regime is None and not args.config:
+    if args.p_values and (args.p is not None or args.p_regime is not None):
+        flag = "--p" if args.p is not None else "--p-regime"
+        raise ValueError(f"{flag} cannot be given with --p-values, which sets the density")
+    if args.p_values and not args.config:
         # base density is irrelevant here; seed it from the grid
         if not grid:
             raise ValueError("--p-values is empty")
@@ -208,6 +211,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_census(args) -> int:
+    if args.model not in (None, "morning"):
+        raise ValueError(f"--model {args.model}: the census runs only the morning model")
     table = harness.census_experiment(_config_from_args(args, model_kind="morning_evening"))
     harness.write_table(table, args.output or sys.stdout, args.format)
     return 0

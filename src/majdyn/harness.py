@@ -100,9 +100,8 @@ class ExperimentConfig:
             raise ValueError("day_cap must be at least 1")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
-        for name, seed in (("master_seed", self.master_seed), ("model.seed", self.model.seed)):
-            if seed is not None and seed < 0:
-                raise ValueError(f"{name} must be non-negative, got {seed}")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be non-negative, got {self.master_seed}")
         if self.gamma is not None:
             if not 0.0 <= self.gamma < math.inf:
                 raise ValueError(f"gamma must be finite and non-negative, got {self.gamma}")
@@ -308,9 +307,7 @@ def growth_ratio_experiment(cfg: ExperimentConfig) -> Table:
 
 def census_experiment(cfg: ExperimentConfig) -> Table:
     """Distribution of the almost-positive excess under the swung balanced
-    model; requires gamma and a morning_evening model."""
-    if cfg.model.kind != "morning_evening":
-        raise ValueError("the census needs the morning_evening model")
+    model; requires gamma, which only the morning_evening model takes."""
     if cfg.gamma is None:
         raise ValueError("the census needs gamma")
     agg = run_experiment(cfg).aggregates
@@ -368,15 +365,23 @@ def bias_sweep(cfg: ExperimentConfig, d_values) -> Table:
     """Unanimity probability as a function of the initial opinion sum d.
 
     Every d reuses the same master seed, so graphs are shared across the
-    sweep and rows differ only through the initial states.
+    sweep and rows differ only through the initial states.  A gamma, a
+    morning_evening model or a nonzero c or d is rejected, never replaced.
     """
+    m = cfg.model
+    for name, given in (("gamma", cfg.gamma is not None),
+                        ("model.kind", m.kind == "morning_evening"),
+                        ("model.c", m.c != 0), ("model.d", m.d != 0)):
+        if given:
+            raise ValueError(f"the d sweep would replace the config's {name}: "
+                             "each row runs the fixed_discrepancy model with no census")
     d_values = [int(d) for d in d_values]
     for d in d_values:
         if (cfg.n + d) % 2 != 0:
             raise ValueError(f"d={d} has the wrong parity for n={cfg.n}")
     rows = []
     for d in d_values:
-        sub = replace(cfg, model=OpinionModel("fixed_discrepancy", d=d), gamma=None)
+        sub = replace(cfg, model=OpinionModel("fixed_discrepancy", d=d))
         report = run_experiment(sub)
         rows.append(
             {
@@ -400,12 +405,12 @@ def density_sweep(cfg: ExperimentConfig, p_values) -> Table:
     return Table(("p", *_SWEEP_COLUMNS), rows)
 
 
-def auto_bias_floor(cfg: ExperimentConfig, pairs: int = 100) -> int:
+def auto_bias_floor(cfg: ExperimentConfig) -> int:
     """Contraction floor ceil(8 * beta_hat / (p * sqrt(0.9))) from a sampled
-    jumbledness witness on one pilot graph."""
+    jumbledness witness over 100 subset pairs on one pilot graph."""
     p = cfg.resolved_p()
     g = sample_gnp(cfg.n, p, _trial_seed_sequence(cfg.master_seed, cfg.trials + 1))
-    est = estimate_jumbledness(g, p, pairs=pairs, seed=cfg.master_seed)
+    est = estimate_jumbledness(g, p, pairs=100, seed=cfg.master_seed)
     return max(1, math.ceil(8.0 * est.beta_hat / (p * math.sqrt(0.9))))
 
 
@@ -472,15 +477,10 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     ``1``), a bool field only ``true`` or ``false``; a nested field takes a
     JSON object, and null is allowed only where the field may be None.  A
     mistyped value raises ``ValueError`` naming its path, such as
-    ``config.model.d``.  A top-level ``c``, as older documents carry it,
-    sets ``model.c``.
+    ``config.model.d``.  A key that names no field, such as a top-level
+    ``c`` (the swing coefficient is ``model.c``), is rejected.
     """
-    c = None
-    if isinstance(data, dict) and "c" in data:
-        data = dict(data)
-        c = _typed(float | None, data.pop("c"), "config.c")
-    cfg = _from_json(ExperimentConfig, data, "config")
-    return cfg if c is None else replace(cfg, model=replace(cfg.model, c=c))
+    return _from_json(ExperimentConfig, data, "config")
 
 
 def load_config(path) -> ExperimentConfig:

@@ -32,15 +32,14 @@ class OpinionModel:
 
     d is the opinion sum for "fixed_discrepancy" (parity must match n);
     c scales the swing size for "morning_evening"; each must stay zero for
-    the other kinds.  seed is only used when sampling outside an experiment
-    (the harness derives per-trial seeds).
+    the other kinds.  A model carries no seed: :func:`sample_initial` takes
+    one, and the harness derives one per trial.
     """
 
     kind: str = "uniform"
     # reports echo d and c only on their own kind
     d: int = field(default=0, metadata={"echo": lambda m: m.kind == "fixed_discrepancy"})
     c: float = field(default=0.0, metadata={"echo": lambda m: m.kind == "morning_evening"})
-    seed: int | None = None
 
     def validate(self, n: int) -> None:
         if self.kind not in MODEL_KINDS:

@@ -16,7 +16,7 @@ def cycle_graph(n):
 
 
 def complete_graph(n):
-    return from_edges(n, itertools.combinations(range(n), 2), p=1.0)
+    return from_edges(n, itertools.combinations(range(n), 2))
 
 
 def star_graph(leaves):

@@ -216,6 +216,27 @@ class TestSweep:
         rows = parse_csv(out)
         assert [r["p"] for r in rows] == ["0.05", "0.2"]
 
+    @pytest.mark.parametrize("flags, name", [
+        (["--d-values", "0,2", "--model", "morning", "--c", "1", "--gamma", "0.1"], "gamma"),
+        (["--d-values", "0,2", "--model", "morning", "--c", "1"], "model.kind"),
+        (["--d-values", "0,2", "--d", "4"], "model.d"),
+    ], ids=["census", "morning", "d"])
+    def test_d_grid_rejects_a_setting_it_would_replace(self, capsys, flags, name):
+        code, out, err = run_cli(capsys, "sweep", "--n", "200", "--p", "0.1", "--trials", "2",
+                                 *flags)
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and f"would replace the config's {name}:" in err
+
+    @pytest.mark.parametrize("flags, flag", [
+        (["--n", "100", "--p", "0.05"], "--p"),
+        (["--n", "100", "--p-regime", "lower"], "--p-regime"),
+    ], ids=["p", "p-regime"])
+    def test_p_grid_rejects_a_base_density_flag(self, capsys, flags, flag):
+        code, out, err = run_cli(capsys, "sweep", *flags, "--trials", "2", "--p-values", "0.1,0.2")
+        assert code == 1 and out == ""
+        assert err == (f"majdyn: error: {flag} cannot be given with --p-values, "
+                       "which sets the density\n")
+
     def test_requires_exactly_one_grid(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--n", "100", "--p", "0.1")
         assert code == 1
@@ -236,6 +257,17 @@ class TestExperimentCommands:
         rows = parse_csv(out)
         keys = [r["key"] for r in rows]
         assert "alpha_hat_q50" in keys and "positive_excess_fraction" in keys
+
+    @pytest.mark.parametrize("model", ["uniform", "fixed"])
+    def test_census_rejects_a_model_it_would_replace(self, capsys, model):
+        code, out, err = run_cli(capsys, "census", "--n", "200", "--p", "0.1", "--gamma", "0.1",
+                                 "--c", "1", "--trials", "2", "--model", model)
+        assert code == 1 and out == ""
+        assert err == f"majdyn: error: --model {model}: the census runs only the morning model\n"
+
+    def test_census_takes_the_morning_model_flag(self, capsys):
+        argv = [*TABLE_COMMANDS["census"], "-q"]
+        assert run_cli(capsys, *argv, "--model", "morning")[:2] == run_cli(capsys, *argv)[:2]
 
     def test_census_requires_gamma(self, capsys):
         code, _, err = run_cli(
@@ -399,10 +431,10 @@ class TestTables:
         assert str(path) in err
 
     def test_census_switches_the_model_before_validating(self, capsys, tmp_path):
-        # a top-level c on the default (uniform) model is the census's swing
+        # a c on the default (uniform) model is the census's swing
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"n": 200, "p": 0.1, "trials": 4, "master_seed": 3,
-                                    "c": 1.0, "gamma": 0.1}))
+                                    "model": {"c": 1.0}, "gamma": 0.1}))
         code, out, _ = run_cli(capsys, "census", "--config", str(path))
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == TABLE_DIGESTS["census", "csv"]
@@ -423,7 +455,7 @@ class TestModelParameters:
         assert len(err.splitlines()) == 1 and "applies only to the" in err
 
     @pytest.mark.parametrize("extra", [
-        {"c": 1.0},
+        {"model": {"kind": "fixed_discrepancy", "c": 1.0}},
         {"model": {"kind": "uniform", "c": 1.0}},
         {"model": {"kind": "morning_evening", "d": 3}},
     ])
@@ -484,7 +516,7 @@ class TestModelParameters:
     @pytest.mark.parametrize("doc, field", [
         ({"model": {"kind": "morning_evening", "c": 1.0}, "gamma": math.nan}, "gamma"),
         ({"model": {"kind": "morning_evening", "c": math.nan}}, "c"),
-        ({"model": {"kind": "morning_evening"}, "c": math.inf}, "c"),
+        ({"model": {"kind": "morning_evening", "c": math.inf}}, "c"),
     ])
     def test_non_finite_coefficient_config_is_rejected(self, capsys, tmp_path, doc, field):
         path = tmp_path / "cfg.json"
@@ -494,6 +526,18 @@ class TestModelParameters:
         assert code == 1
         assert out == ""
         assert len(err.splitlines()) == 1 and f"{field} must be finite" in err
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"model": {"kind": "morning_evening"}, "c": 1.0}, "unknown config keys: c"),
+        ({"model": {"kind": "uniform", "seed": 3}}, "unknown model keys: seed"),
+    ], ids=["top-level-c", "model-seed"])
+    def test_key_without_a_field_is_rejected(self, capsys, tmp_path, doc, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"n": 60, "p": 0.1, "trials": 2, **doc}))
+        for command in ("run", "census"):
+            code, out, err = run_cli(capsys, command, "--config", str(path), "--gamma", "0.1")
+            assert code == 1 and out == ""
+            assert err == f"majdyn: error: {message}\n"
 
     def test_outputs_key_rejected(self, capsys, tmp_path):
         path = tmp_path / "cfg.json"

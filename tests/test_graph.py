@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import math
 import pickle
+import re
 import tempfile
 import tracemalloc
 import warnings
@@ -336,8 +337,7 @@ class TestValidate:
         (3, [0, 2, 3, 4], [2, 1, 0, 0], "strictly increasing"),
         (2, [0, 2, 4], [1, 1, 0, 0], "strictly increasing"),
         (2, [0, 1, 1], [1], "must be even"),
-        (3, [0, 2, 1, 2], [1, 2], "non-decreasing"),
-    ], ids=["self-loop", "unsorted", "duplicate", "odd-length", "decreasing-offsets"])
+    ], ids=["self-loop", "unsorted", "duplicate", "odd-length"])
     def test_rejects(self, n, offsets, neighbors, message):
         g = Graph(n, offsets, neighbors)
         with pytest.raises(ValueError, match=message):
@@ -348,8 +348,23 @@ class TestValidate:
 
 
 class TestGraphInit:
-    """Neighbour ids are range-checked when a Graph is built, so the step
-    never reads outside its arrays."""
+    """Offsets are checked monotone and neighbour ids in range when a Graph
+    is built, so the step never reads outside its arrays."""
+
+    @pytest.mark.parametrize("n, offsets, neighbors", [
+        (3, [0, 2, 1, 2], [1, 2]),
+        # degrees would read 3, -2, 1, 2
+        (4, [0, 3, 1, 2, 4], [1, 2, 3, 0]),
+    ], ids=["decreasing-offsets", "negative-degree"])
+    def test_rejects_decreasing_offsets(self, n, offsets, neighbors):
+        with pytest.raises(ValueError, match="^offsets must be non-decreasing$"):
+            Graph(n, offsets, neighbors)
+
+    def test_unpickling_checks_offsets_too(self):
+        state = path_graph(3).__getstate__()
+        state["offsets"] = np.array([0, 3, 1, 4], dtype=np.int64)
+        with pytest.raises(ValueError, match="offsets must be non-decreasing"):
+            Graph.__new__(Graph).__setstate__(state)
 
     @pytest.mark.parametrize("n, offsets, neighbors", [
         (2, [0, 1, 2], [-1, 0]),
@@ -553,7 +568,8 @@ class TestSerialization:
         off1 = 28 + 8
         raw[off1:off1 + 8] = (4).to_bytes(8, "little")
         path.write_bytes(bytes(raw))
-        with pytest.raises(ValueError, match="offsets decrease"):
+        message = f"^{re.escape(str(path))}: offsets must be non-decreasing$"
+        with pytest.raises(ValueError, match=message):
             load_graph(path)
 
     def test_asymmetric_dump_is_left_to_validate(self, tmp_path):

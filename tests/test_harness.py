@@ -7,9 +7,11 @@ trial rows.
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 import math
+import typing
 from dataclasses import replace
 from pathlib import Path
 
@@ -105,7 +107,7 @@ class TestConfig:
     ])
     def test_validate_rejects_non_finite_coefficients(self, field, value):
         doc = config_to_dict(small_cfg(model=OpinionModel("morning_evening", c=1.0), gamma=0.1))
-        doc[field] = value
+        (doc["model"] if field == "c" else doc)[field] = value
         cfg = config_from_dict(json.loads(json.dumps(doc)))
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             cfg.validate()
@@ -135,27 +137,17 @@ class TestConfig:
                "model": {"kind": "morning_evening", "c": 1}, "day_cap": 64, "quenched": False}
         assert json.dumps(config_to_dict(config_from_dict(doc))) == json.dumps(doc)
 
-    def test_model_seed_round_trips(self):
-        cfg = small_cfg(model=OpinionModel("uniform", seed=11))
-        assert config_to_dict(cfg)["model"] == {"kind": "uniform", "seed": 11}
-        assert config_from_dict(config_to_dict(cfg)) == cfg
-        assert "seed" not in config_to_dict(small_cfg())["model"]
-
-    def test_top_level_c_folds_into_model(self):
-        base = {"n": 120, "p": 0.05, "trials": 4, "master_seed": 7, "gamma": 0.1}
-        top = config_from_dict(dict(base, model={"kind": "morning_evening"}, c=1.0))
-        nested_model = {"kind": "morning_evening", "c": 1.0}
-        nested = config_from_dict(dict(base, model=nested_model))
-        assert top == nested
-        assert config_from_dict(dict(base, model=nested_model, c=None)) == nested
-        assert "c" not in config_to_dict(top)
-        assert config_to_dict(top)["model"] == {"kind": "morning_evening", "c": 1.0}
-        reports = [run_experiment(cfg) for cfg in (top, nested)]
-        assert {t.swing_count for t in reports[0].trials} == {round(math.sqrt(120))}
-        streams = [io.StringIO(), io.StringIO()]
-        for report, stream in zip(reports, streams):
-            write_report(report, stream, "csv")
-        assert streams[0].getvalue() == streams[1].getvalue()
+    @pytest.mark.parametrize("doc, message", [
+        ({"c": 1.0, "model": {"kind": "morning_evening"}}, "unknown config keys: c"),
+        ({"c": None}, "unknown config keys: c"),
+        ({"model": {"kind": "uniform", "seed": 11}}, "unknown model keys: seed"),
+        ({"model": {"kind": "uniform", "seed": None}}, "unknown model keys: seed"),
+    ], ids=["top-level-c", "top-level-c-null", "model-seed", "model-seed-null"])
+    def test_keys_without_a_field_are_unknown(self, doc, message):
+        # the swing coefficient is model.c only, and a model carries no seed
+        with pytest.raises(ValueError) as info:
+            config_from_dict(dict({"n": 120, "p": 0.05}, **doc))
+        assert str(info.value) == message
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown config keys"):
@@ -171,7 +163,7 @@ class TestConfig:
         ({"trials": None}, "config.trials must be a JSON int, got null"),
         ({"quenched": "false"}, 'config.quenched must be a JSON bool, got "false"'),
         ({"quenched": 0}, "config.quenched must be a JSON bool, got 0"),
-        ({"c": "1"}, 'config.c must be a JSON number, got "1"'),
+        ({"model": {"kind": 1}}, "config.model.kind must be a JSON string, got 1"),
         ({"p": "0.1"}, 'config.p must be a JSON number, got "0.1"'),
         ({"gamma": "0.1"}, 'config.gamma must be a JSON number, got "0.1"'),
         ({"model": {"kind": "fixed_discrepancy", "d": 2.0}},
@@ -192,14 +184,13 @@ class TestConfig:
 
     def test_null_on_optional_fields(self):
         cfg = config_from_dict({"n": 60, "p": None, "p_spec": {"coefficient": 1}, "gamma": None,
-                                "c": None, "model": {"kind": "uniform", "seed": None}})
+                                "model": {"kind": "uniform"}})
         assert cfg == ExperimentConfig(n=60, p_spec=PSpec(1))
         with pytest.raises(ValueError, match="config requires n"):
             config_from_dict({"p": 0.1})
 
     @pytest.mark.parametrize("cfg, name", [
         (small_cfg(master_seed=-1), "master_seed"),
-        (small_cfg(model=OpinionModel(seed=-2)), "model.seed"),
     ])
     def test_negative_seed_names_its_field(self, cfg, name):
         with pytest.raises(ValueError, match=f"^{name} must be non-negative, got -"):
@@ -430,6 +421,21 @@ class TestBiasSweep:
         with pytest.raises(ValueError):
             bias_sweep(small_cfg(), [3])
 
+    @pytest.mark.parametrize("cfg, name", [
+        (small_cfg(model=OpinionModel("morning_evening", c=1.0), gamma=0.1), "gamma"),
+        (small_cfg(model=OpinionModel("morning_evening")), "model.kind"),
+        (small_cfg(model=OpinionModel("uniform", c=1.0)), "model.c"),
+        (small_cfg(model=OpinionModel("fixed_discrepancy", d=4)), "model.d"),
+    ], ids=["gamma", "morning-kind", "c", "d"])
+    def test_rejects_a_setting_it_would_replace(self, cfg, name):
+        with pytest.raises(ValueError, match=f"would replace the config's {name}:"):
+            bias_sweep(cfg, [0, 2])
+
+    def test_keeps_a_fixed_model_at_d_zero(self):
+        cfg = small_cfg(trials=3)
+        fixed = replace(cfg, model=OpinionModel("fixed_discrepancy"))
+        assert bias_sweep(fixed, [0, 2]) == bias_sweep(cfg, [0, 2])
+
     def test_monotone_trend_with_shared_graphs(self):
         cfg = ExperimentConfig(n=500, p=0.05, trials=30, master_seed=17)
         table = bias_sweep(cfg, [0, 10, 60])
@@ -455,6 +461,66 @@ class TestDensitySweep:
                 "unanimity_fraction": agg["unanimity_fraction"],
                 "median_unanimity_day": agg["median_unanimity_day"],
             }
+
+
+def _other_value(value, hint):
+    """A value of the annotation ``hint`` that differs from ``value``."""
+    kind = next(t for t in typing.get_args(hint) or (hint,) if t is not type(None))
+    if value is None or dataclasses.is_dataclass(kind):
+        return kind()
+    if kind is bool:
+        return not value
+    if kind is str:
+        return value + "x"
+    return value + (1 if kind is int else 0.5)
+
+
+def _field_cases():
+    for cls, owner in ((ExperimentConfig, None), (OpinionModel, "model"), (PSpec, "p_spec")):
+        hints = typing.get_type_hints(cls)
+        for f in dataclasses.fields(cls):
+            yield pytest.param(owner, f.name, hints[f.name], id=f"{cls.__name__}.{f.name}")
+
+
+class TestEveryFieldHasAReader:
+    """Each config field, changed alone from a census config, either changes
+    the trial rows or is rejected by ``validate()``; only ``workers`` may
+    change neither, and it leaves the report's bytes as they were.  The
+    cases come from the dataclass fields, so a new field is covered as it
+    is added."""
+
+    BASE = ExperimentConfig(n=200, p=0.05, trials=4, master_seed=7, day_cap=2,
+                            model=OpinionModel("morning_evening", c=1.0), gamma=0.1)
+    # the PSpec fields change against a density formula
+    P_SPEC_BASE = replace(BASE, p=None, p_spec=PSpec.upper())
+
+    @staticmethod
+    def _changed(base, owner, name, hint):
+        holder = base if owner is None else getattr(base, owner)
+        changed = replace(holder, **{name: _other_value(getattr(holder, name), hint)})
+        return changed if owner is None else replace(base, **{owner: changed})
+
+    @staticmethod
+    def _report_bytes(cfg):
+        report = run_experiment(cfg)
+        streams = {fmt: io.StringIO() for fmt in ("csv", "json")}
+        for fmt, stream in streams.items():
+            write_report(report, stream, fmt)
+        return streams["csv"].getvalue() + streams["json"].getvalue()
+
+    @pytest.mark.parametrize("owner, name, hint", _field_cases())
+    def test_changing_the_field_alone_is_read(self, owner, name, hint):
+        base = self.P_SPEC_BASE if owner == "p_spec" else self.BASE
+        changed = self._changed(base, owner, name, hint)
+        assert changed != base
+        if name == "workers":
+            assert self._report_bytes(changed) == self._report_bytes(base)
+            return
+        try:
+            changed.validate()
+        except ValueError:
+            return
+        assert run_experiment(changed).trials != run_experiment(base).trials
 
 
 @pytest.mark.parametrize("make_table", [
