@@ -123,15 +123,24 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _config_from_args(args, model_kind: str | None = None) -> harness.ExperimentConfig:
+def _config_from_args(args, model_kind: str | None = None,
+                      swept_p: float | None = None) -> harness.ExperimentConfig:
     """The config file, then the flags over it; ``model_kind`` switches the
-    model's kind, keeping its parameters, before the config is validated."""
+    model's kind, keeping its parameters, before the config is validated.
+    ``swept_p``, a p-sweep's first density, stands in for the density, which
+    the config file then must not set."""
     if args.config:
         cfg = harness.load_config(args.config)
     else:
         if args.n is None:
             raise ValueError("--n is required (or provide --config)")
         cfg = harness.ExperimentConfig(n=args.n, p=args.p)
+    if swept_p is not None:
+        for key in ("p", "p_spec"):
+            if getattr(cfg, key) is not None:
+                raise ValueError(f"config key {key!r} cannot be given with --p-values, "
+                                 "which sets the density")
+        cfg = replace(cfg, p=swept_p)
     if args.p is not None and args.p_regime is not None:
         raise ValueError("--p and --p-regime are mutually exclusive")
     if args.p_coefficient is not None and args.p_regime is None:
@@ -196,12 +205,9 @@ def _cmd_sweep(args) -> int:
     if args.p_values and (args.p is not None or args.p_regime is not None):
         flag = "--p" if args.p is not None else "--p-regime"
         raise ValueError(f"{flag} cannot be given with --p-values, which sets the density")
-    if args.p_values and not args.config:
-        # base density is irrelevant here; seed it from the grid
-        if not grid:
-            raise ValueError("--p-values is empty")
-        args.p = grid[0]
-    cfg = _config_from_args(args)
+    if args.p_values and not grid:
+        raise ValueError("--p-values is empty")
+    cfg = _config_from_args(args, swept_p=grid[0] if args.p_values else None)
     if args.d_values:
         table = harness.bias_sweep(cfg, grid)
     else:

@@ -15,12 +15,12 @@ linear pair indices and share one assembly path: exact integer row starts
 split the indices into the upper triangle U's rows, whose int32 columns go
 straight into one array, and the symmetric CSR is ``U + Uᵀ`` (scipy's
 counting transpose and sorted merge).  No float root and no sort or COO
-conversion is involved.  The sampler runs this as one blocked pass: its skip
-gaps are drawn, summed and split into rows at most ``_GAP_BLOCK`` at a time,
-below p = 1/3 straight from standard exponentials as numpy's own geometric
-inversion does, so no index array of the whole graph is ever built and the
-graph and a passed-in Generator's final state are those of the per-chunk
-``rng.geometric`` draws.
+conversion is involved.  The sampler runs this as one blocked pass over one
+stream of skip gaps, draw for draw ``rng.geometric(p)``'s (below p = 1/3
+from standard exponentials, as numpy's geometric inversion draws them), in
+blocks doubling up to ``_GAP_BLOCK``, so no index array of the whole graph
+is built.  The graph is that of the stream, whatever the block sizes; a
+passed-in Generator is left after the block that crosses the last pair.
 
 The scipy adjacency used by the dynamics stores its ones in the narrowest
 signed dtype that holds every neighbour sum (int8 up to maximum degree
@@ -95,19 +95,21 @@ class Graph:
 
     def __init__(self, n: int, offsets, neighbors):
         self.n = int(n)
-        self.offsets = np.ascontiguousarray(offsets, dtype=np.int64)
-        self.neighbors = np.ascontiguousarray(neighbors, dtype=np.int32)
         if self.n < 1:
             raise ValueError("graph needs at least one vertex")
+        offsets, ids = _integers("offsets", offsets), _integers("neighbor ids", neighbors)
+        # one pass for both ends, on the ids as given: a negative id reads as
+        # 2**bits - |id|; int32 holds ids below 2**31 only
+        if ids.size and ids.view(ids.dtype.str.replace("i", "u")).max() >= min(self.n, 2**31):
+            raise ValueError(f"neighbor id out of range for n={self.n}")
+        self.offsets = np.ascontiguousarray(offsets, dtype=np.int64)
+        self.neighbors = np.ascontiguousarray(ids, dtype=np.int32)
         if self.offsets.shape != (self.n + 1,):
             raise ValueError("offsets must have length n + 1")
         if self.offsets[0] != 0 or self.offsets[-1] != self.neighbors.size:
             raise ValueError("offsets must start at 0 and end at len(neighbors)")
         if np.any(self.offsets[1:] < self.offsets[:-1]):
             raise ValueError("offsets must be non-decreasing")
-        # one pass for both ends: a negative id reads as 2**32 - |id|
-        if self.neighbors.size and self.neighbors.view(np.uint32).max() >= self.n:
-            raise ValueError(f"neighbor id out of range for n={self.n}")
         self.offsets.setflags(write=False)
         self.neighbors.setflags(write=False)
 
@@ -164,6 +166,15 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edge_count})"
+
+
+def _integers(what: str, values) -> np.ndarray:
+    """``values`` as an array, uncast; ValueError unless it is empty or of
+    an integer dtype, so no float is truncated and no id wraps unseen."""
+    a = np.asarray(values)
+    if a.size and a.dtype.kind not in "iu":
+        raise ValueError(f"{what} must be integers, got dtype {a.dtype}")
+    return a
 
 
 def from_edges(n: int, edges) -> Graph:
@@ -264,37 +275,32 @@ def _gap_source(rng: np.random.Generator, p: float, total: int, size: int):
     return draw
 
 
-def _pair_blocks(rng: np.random.Generator, p: float, total: int, chunk: int):
-    """Yield the sorted linear indices of G(n, p)'s pairs, at most
-    ``_GAP_BLOCK`` at a time.
+def _pair_blocks(rng: np.random.Generator, p: float, total: int, first: int):
+    """Yield the sorted linear indices of G(n, p)'s pairs, one block of
+    gaps at a time, until the block that crosses ``total``.
 
-    The gaps come in the chunks of ``rng.geometric(p, size=chunk)`` calls:
-    the first ``chunk``, then max(chunk // 8, 1024) each until one crosses
-    ``total``; the rest of that chunk is drawn and dropped, so the generator
-    ends where those calls would leave it.
+    The first block is ``first`` gaps, each later one twice the last, all
+    capped at ``_GAP_BLOCK`` and at total + 1 (gaps are at least 1, so that
+    many always cross).  Nothing is drawn after the crossing block.
 
     Every sum up to the crossing is below 2 * total + 2, but the capped
-    gaps after it can carry a sub-block's cumsum past int64 once
-    step * total nears 2**63 (n above about 6e6 at full sub-blocks), so the
+    gaps after it can carry a block's cumsum past int64 once
+    block * total nears 2**63 (n above about 6e6 at full blocks), so the
     crossing is the first index >= total, which precedes any wrapped sum.
     """
-    step = min(chunk, _GAP_BLOCK)
-    draw = _gap_source(rng, p, total, step)
-    lin = np.empty(step, dtype=np.int64)
-    pos = 0
+    cap = min(_GAP_BLOCK, total + 1)
+    draw = _gap_source(rng, p, total, cap)
+    buf = np.empty(cap, dtype=np.int64)
+    k, pos = min(first, cap), 0
     while pos <= total:
-        for at in range(0, chunk, step):
-            k = min(step, chunk - at)
-            gaps = draw(k)
-            if pos > total:
-                continue
-            np.cumsum(gaps, dtype=np.int64, out=lin[:k])
-            lin[:k] += pos - 1
-            end = int(np.argmax(lin[:k] >= total))
-            end = end if lin[end] >= total else k
-            pos = int(lin[k - 1]) + 1 if end == k else total + 1
-            yield lin[:end]
-        chunk = max(chunk // 8, 1024)
+        lin = buf[:k]
+        np.cumsum(draw(k), dtype=np.int64, out=lin)
+        lin += pos - 1
+        end = int(np.argmax(lin >= total))
+        end = end if lin[end] >= total else k
+        pos = int(lin[-1]) + 1 if end == k else total + 1
+        yield lin[:end]
+        k = min(2 * k, cap)
 
 
 def sample_gnp(n: int, p: float, seed) -> Graph:
@@ -305,8 +311,8 @@ def sample_gnp(n: int, p: float, seed) -> Graph:
     Bernoulli sweep is never materialized (Batagelj and Brandes 2005).  One
     blocked pass draws the gaps, cumsums them into linear pair indices and
     cuts them into upper-triangle rows; the symmetric CSR is ``U + Uᵀ``.
-    A passed-in Generator is left exactly where the per-chunk
-    ``rng.geometric`` calls would leave it.
+    The graph is that of one ``rng.geometric(p)`` stream; a passed-in
+    Generator is left after the block of gaps that crosses the last pair.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -315,12 +321,12 @@ def sample_gnp(n: int, p: float, seed) -> Graph:
     total = n * (n - 1) // 2
     if p == 0.0 or total == 0:
         return Graph(n, np.zeros(n + 1, dtype=np.int64), np.empty(0, dtype=np.int32))
-    # 10 sigma above the expected edge count: one chunk nearly always covers
-    # every pair, so the column array is sized once
+    # 10 sigma above the expected edge count: the column array is nearly
+    # always sized once, and it is the first block of gaps
     expect = total * p
-    chunk = int(expect + 10.0 * math.sqrt(expect + 1.0)) + 16
-    blocks = _pair_blocks(_rng(seed), p, total, chunk)
-    return _symmetric(n, *_upper_rows(n, blocks, min(chunk, total)))
+    size = int(expect + 10.0 * math.sqrt(expect + 1.0)) + 16
+    blocks = _pair_blocks(_rng(seed), p, total, size)
+    return _symmetric(n, *_upper_rows(n, blocks, min(size, total)))
 
 
 def degree_stats(g: Graph) -> tuple[int, int, float]:

@@ -237,6 +237,28 @@ class TestSweep:
         assert err == (f"majdyn: error: {flag} cannot be given with --p-values, "
                        "which sets the density\n")
 
+    @pytest.mark.parametrize("density, key", [
+        ({"p": 0.05}, "p"),
+        ({"p_spec": {"coefficient": 1.0, "exponent": -0.5, "log_power": 0.0}}, "p_spec"),
+    ], ids=["p", "p_spec"])
+    def test_p_grid_rejects_a_config_density(self, capsys, tmp_path, density, key):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"n": 200, "trials": 2, **density}))
+        code, out, err = run_cli(capsys, "sweep", "--config", str(path), "--p-values", "0.1,0.2")
+        assert code == 1 and out == ""
+        assert err == (f"majdyn: error: config key {key!r} cannot be given with --p-values, "
+                       "which sets the density\n")
+
+    def test_p_grid_runs_a_config_without_density(self, capsys, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"n": 100, "trials": 4, "master_seed": 2}))
+        code, out, _ = run_cli(capsys, "sweep", "--config", str(path), "--p-values", "0.05,0.2")
+        assert code == 0
+        _, flags, _ = run_cli(capsys, "sweep", "--n", "100", "--trials", "4", "--seed", "2",
+                              "--p-values", "0.05,0.2")
+        assert [r["p"] for r in parse_csv(out)] == ["0.05", "0.2"]
+        assert out == flags
+
     def test_requires_exactly_one_grid(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--n", "100", "--p", "0.1")
         assert code == 1

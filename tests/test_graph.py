@@ -144,16 +144,34 @@ class TestSamplerDigests:
 
 def _zero_stream():
     """An MT19937 generator whose state is all zeros: every draw is 0, so
-    every skip gap is 1 and the first chunk never reaches the last pair."""
+    every skip gap is 1 and the first block never reaches the last pair."""
     rng = np.random.Generator(np.random.MT19937())
     rng.bit_generator.state = {"bit_generator": "MT19937",
                                "state": {"key": np.zeros(624, dtype=np.uint32), "pos": 624}}
     return rng
 
 
+def _count_draws(monkeypatch) -> list:
+    """The size of each block of gaps the sampler draws from now on."""
+    sizes, source = [], graph_module._gap_source
+
+    def counting(*args):
+        draw = source(*args)
+
+        def counted(k):
+            sizes.append(k)
+            return draw(k)
+
+        return counted
+
+    monkeypatch.setattr(graph_module, "_gap_source", counting)
+    return sizes
+
+
 class TestBlockedSampler:
-    """The blocked pass draws what the per-chunk ``rng.geometric`` calls drew,
-    builds the same bytes, and leaves a passed-in Generator where they did."""
+    """The blocked pass draws one ``rng.geometric`` stream, builds the graph
+    of that stream whatever its block sizes, and leaves a passed-in
+    Generator after the block that crosses the last pair."""
 
     @pytest.mark.parametrize("p", [
         5e-324, 1e-300, 1e-12, 2e-5, 0.1, float(np.nextafter(1 / 3, 0)), 1 / 3, 0.5, 1 - 1e-16, 1.0,
@@ -168,13 +186,13 @@ class TestBlockedSampler:
         want = np.clip(np.random.default_rng(8).geometric(p, size=size), 1, total + 1)
         assert np.array_equal(got, want)
 
-    # (n, p, seed, edges, CSR digest, the Generator's next random()) as the
-    # per-chunk geometric sampler left them
+    # (n, p, seed, edges, CSR digest, the Generator's next random()) after
+    # the block that crosses the last pair
     PINNED = [
         (2000, 0.01, 21, 19788, "1cd87e42b332e095ee90b077627c8ebd7d8cd739b208b34fdff4aa17b848f6c7",
          0.3411160616252513),
         (3000, 0.2, 22, 900610, "92892d52ef7230e1ac6d488f191f1b214cbc2a17b745a885e93ed2dd51b1b0cb",
-         0.530824073999742),  # four gap blocks
+         0.7205499562497995),  # four gap blocks
         (3000, 1e-8, 23, 0, "5b8ddb0d04d810ce46365f950e5e2fa4965527856af8873a492ac48e8df9654b",
          0.8283282979898389),
         (500, 0.5, 24, 62382, "f2cb71e42444090adce614d51bb69221478146461c9735aaba7c19cc335fe1c2",
@@ -182,7 +200,7 @@ class TestBlockedSampler:
         (400, 1 / 3, 25, 26670, "92b6ae997c786f530ca3db0d6cc355b5fe50dae1474ef59de79923c502bbfc93",
          0.8970237257467281),
         (300, 1.0, 26, 44850, "5f230967beec171b52440ffbd3d9e41c5df7c0ac83674736b8f3b7d52e3a4c90",
-         0.14295689538945333),
+         0.828234638938163),  # total + 1 gaps
     ]
 
     @pytest.mark.parametrize("n, p, seed, edges, digest, after", PINNED)
@@ -193,16 +211,35 @@ class TestBlockedSampler:
         assert csr_digest(g) == digest
         assert rng.random() == after
 
-    @pytest.mark.parametrize("n, p, pos", [(100, 1e-6, 308), (100, 0.5, 88), (400, 1e-300, 52),
-                                           (1000, 1e-8, 452)])
-    def test_many_chunks(self, n, p, pos):
-        # every gap is 1, so the pairs take a first chunk and then chunks of
-        # 1024 until the last; ``pos`` is where those calls left MT19937
+    @pytest.mark.parametrize("n, p, pos", [(100, 1e-6, 156), (100, 0.5, 278), (400, 1e-300, 156),
+                                           (1000, 1e-8, 284)])
+    def test_many_chunks(self, monkeypatch, n, p, pos):
+        # every gap is 1, so the pairs take a small first block and then
+        # blocks twice the last until the last pair; ``pos`` is where those
+        # blocks left MT19937, and doubling keeps them few
+        sizes = _count_draws(monkeypatch)
         rng = _zero_stream()
         g = sample_gnp(n, p, rng)
         assert g.edge_count == n * (n - 1) // 2
         assert csr_digest(g) == csr_digest(complete_graph(n))
         assert rng.bit_generator.state["state"]["pos"] == pos
+        assert len(sizes) <= 20
+
+    @pytest.mark.parametrize("block", [4, 1000, None], ids=["4", "1000", "default"])
+    @pytest.mark.parametrize("n, p", [(200, 0.03), (90, 0.3), (90, 0.6), (40, 1.0)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_gap_block_never_changes_the_graph(self, monkeypatch, block, n, p, seed):
+        # the graph of one clipped rng.geometric stream: total + 1 gaps always
+        # pass the last pair, and the pairs come in triu_indices order
+        total = n * (n - 1) // 2
+        gaps = np.clip(np.random.default_rng(seed).geometric(p, size=total + 1), 1, total + 1)
+        lin = np.cumsum(gaps) - 1
+        lin = lin[lin < total]
+        rows, cols = np.triu_indices(n, 1)
+        want = from_edges(n, zip(rows[lin], cols[lin]))
+        if block is not None:
+            monkeypatch.setattr(graph_module, "_GAP_BLOCK", block)
+        assert csr_digest(sample_gnp(n, p, seed)) == csr_digest(want)
 
     def test_peak_memory_within_three_outputs(self):
         sample_gnp(200, 0.05, 0)
@@ -222,26 +259,30 @@ class TestBlockedSampler:
 
     @pytest.mark.parametrize("p", [5e-324, 1e-300, 1e-18, 5e-18, 1e-16])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_pair_indices_exact_near_int64(self, p, seed):
-        # n = 2e9: a sub-block of gaps capped at total + 1 sums past int64,
-        # so the wrapped cumsum must not reach the indices; no n-sized array
-        # is built, only the pair indices, against Python integers
+    def test_pair_indices_exact_near_int64(self, monkeypatch, p, seed):
+        # n = 2e9: a block of gaps capped at total + 1 sums past int64, so
+        # the wrapped cumsum must not reach the indices; no n-sized array is
+        # built, only the pair indices, against Python integers
         n = 2 * 10**9
         total = n * (n - 1) // 2
         expect = total * p
-        chunk = int(expect + 10.0 * math.sqrt(expect + 1.0)) + 16  # as sample_gnp sizes it
+        first = int(expect + 10.0 * math.sqrt(expect + 1.0)) + 16  # as sample_gnp sizes it
+        sizes = _count_draws(monkeypatch)
         rng = np.random.default_rng(seed)
-        got = [int(v) for block in graph_module._pair_blocks(rng, p, total, chunk) for v in block]
+        got = [int(v) for block in graph_module._pair_blocks(rng, p, total, first) for v in block]
+        # the same stream one gap at a time, up to the gap that passes the last pair
         ref = np.random.default_rng(seed)
-        want, pos, size = [], 0, chunk
+        want, pos, used = [], 0, 0
         while pos <= total:
-            for gap in np.clip(ref.geometric(p, size=size), 1, total + 1).tolist():
-                pos += gap
-                if pos <= total:
-                    want.append(pos - 1)
-            size = max(size // 8, 1024)
+            pos += int(np.clip(ref.geometric(p), 1, total + 1))
+            used += 1
+            if pos <= total:
+                want.append(pos - 1)
         assert got == want
         assert all(0 <= v < total for v in got)
+        # the last block drawn holds that gap, and the generator stops after it
+        assert sum(sizes[:-1]) < used <= sum(sizes)
+        ref.geometric(p, size=sum(sizes) - used)
         assert rng.random() == ref.random()
 
     @settings(max_examples=60, deadline=None)
@@ -275,10 +316,10 @@ class TestSamplerLaw:
         """Indicator of each pair, in lexicographic order, for one seed."""
         total = cls.N * (cls.N - 1) // 2
         if mode == "pairs":
-            # the raw indices, in a first chunk sized as sample_gnp sizes it;
-            # each block is a view of one reused buffer, so it is copied out
-            chunk = int(total * p + 10.0 * math.sqrt(total * p + 1.0)) + 16
-            blocks = graph_module._pair_blocks(np.random.default_rng(seed), p, total, chunk)
+            # the raw indices, from a first block sized as sample_gnp sizes
+            # it; each block is a view of one reused buffer, so it is copied out
+            first = int(total * p + 10.0 * math.sqrt(total * p + 1.0)) + 16
+            blocks = graph_module._pair_blocks(np.random.default_rng(seed), p, total, first)
             lin = np.concatenate([block.copy() for block in blocks])
             hit = np.zeros(total, dtype=bool)
             hit[lin] = True
@@ -291,8 +332,8 @@ class TestSamplerLaw:
     # below p = 1/3 the gaps come from inverted exponentials, from 1/3 up
     # from rng.geometric
     @pytest.mark.parametrize("p", [0.15, 0.6])
-    # one sub-block, or 4-gap sub-blocks: the crossing falls in a middle one
-    # and the rest are drawn and dropped, in the graph and in the raw indices
+    # one block, or 4-gap blocks: the crossing falls in a later one and
+    # nothing after it is drawn, in the graph and in the raw indices
     @pytest.mark.parametrize("mode, block", [("graph", None), ("graph", 4), ("pairs", 4)])
     def test_each_pair_present_with_probability_p(self, monkeypatch, mode, block, p):
         if block is not None:
@@ -371,10 +412,26 @@ class TestGraphInit:
         (2, [0, 1, 2], [1, 2]),
         (4, [0, 1, 2, 3, 4], [-1, 0, 5, 2]),
         (2, [0, 1, 2], [1, -2**31]),
-    ], ids=["negative-id", "id-at-n", "both-ends", "int32-min"])
+        # checked before the int32 cast, which would read 1
+        (2, [0, 1, 2], np.array([2**32 + 1, 0], dtype=np.int64)),
+        (2, [0, 1, 2], [2**32 + 1, 0]),
+    ], ids=["negative-id", "id-at-n", "both-ends", "int32-min", "wraps-int64", "wraps-list"])
     def test_rejects_out_of_range_id(self, n, offsets, neighbors):
         with pytest.raises(ValueError, match="neighbor id out of range"):
             Graph(n, offsets, neighbors)
+
+    @pytest.mark.parametrize("offsets, neighbors, what", [
+        ([0, 1, 2], np.array([1.7, 0.2]), "neighbor ids"),
+        (np.array([0.0, 1.0, 2.0]), [1, 0], "offsets"),
+    ], ids=["float-ids", "float-offsets"])
+    def test_rejects_non_integer_arrays(self, offsets, neighbors, what):
+        # a cast would truncate them: the float ids would read [1, 0]
+        with pytest.raises(ValueError, match=f"^{what} must be integers, got dtype float64$"):
+            Graph(2, offsets, neighbors)
+
+    def test_accepts_empty_neighbors_of_any_dtype(self):
+        for neighbors in ([], np.empty(0), np.empty(0, dtype=np.uint64)):
+            assert Graph(3, [0, 0, 0, 0], neighbors).edge_count == 0
 
     def test_unpickling_checks_ids_too(self):
         state = path_graph(3).__getstate__()
