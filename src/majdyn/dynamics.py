@@ -10,22 +10,24 @@ Every trajectory eventually becomes periodic with period one or two, so
 :func:`run` only ever reports unanimity, a (possibly period-one) two-cycle,
 or hitting the day cap.
 
-The step takes its neighbour sums from a state whose sums are known while
-at most n/16 vertices differ from it, and from one sparse matvec of the
-signs otherwise.  A vertex u that differs from the known state holds
+The step takes its neighbour sums from the nearer of the caller's known
+state (the census hands :func:`run` its un-swung days 0 and 1) and the
+nearer unanimous state M, whose sums are M*deg, when that state differs
+from the signs on at most n/16 vertices, and from one sparse matvec of the
+signs otherwise.  A vertex u that differs from the chosen state holds
 signs[u] = -known[u], so it moves each neighbour's sum by 2*signs[u]: the
 sums are the known ones plus 2*(count over D+ - count over D-), where D+
 and D- are the differing vertices that now hold +1 and -1, and the counts
 are bincounts over their neighbour lists, reading about |D|*deg entries
-instead of the whole adjacency.  The known state is one the caller hands
-over (the census hands :func:`run` its un-swung days 0 and 1), else the
-nearer unanimous state M, whose sums are M*deg and which differs on the
-minority.  The matvec is taken in the adjacency's dtype, the narrowest
-signed integer holding -deg..deg for the graph's maximum degree (int8 at
-the paper's sparse densities).  Every way is exact integer arithmetic and
-gives the same sums; :func:`neighbor_sums` returns them as int32.  The
-1/16 crossover comes from timing the matvec against the minority side at
-n=10^5 and n=10^6, mean degree 20; it is not a tuning knob.
+instead of the whole adjacency.  The matvec is taken in the adjacency's
+dtype, the narrowest signed integer holding -deg..deg for the graph's
+maximum degree (int8 at the paper's sparse densities).  Every way is exact
+integer arithmetic and gives the same sums; :func:`neighbor_sums` returns
+them as int32.  The delta way beats a matvec well past n/16 (best of 9,
+2-core Xeon, mean degree 20: 13.6 and 22.0 ms at n/16 and n/8 against a
+26.3 ms matvec at n=10^6, 1.20 and 1.73 against 2.03 ms at n=10^5); what
+n/16 bounds is its copy of the gathered rows, which grows with |D|*deg
+(7 MB at n/16, 19 MB at n/6 for n=10^6).
 
 A unanimous state is fixed (every vertex sees M*deg, and an isolated one
 keeps M), so :func:`run` records its confirmation day without a step.
@@ -100,7 +102,8 @@ class OpinionVector:
         return f"OpinionVector(n={self.n}, bias={self.bias()})"
 
 
-# sums are taken from a known state while 16 * (vertices that differ) <= n
+# sums are taken from a known state while 16 * (vertices that differ) <= n,
+# which bounds the gathered rows (7 MB at n=10^6), not where a matvec wins
 _DELTA_SHARE = 16
 
 
@@ -111,34 +114,31 @@ def _neighbor_sums(
 
     ``positives`` is the +1 count of ``signs`` when the caller already has
     it.  ``known`` is a (signs, sums) pair of a state whose neighbour sums
-    are known.  The sums come from ``known``, else from the nearer
-    unanimous state, as int64, whichever first differs from ``signs`` on at
-    most n/16 vertices; otherwise the whole adjacency is multiplied in its
-    degree-sized dtype (int8 at mean degree 20).
+    are known.  The sums come from the nearer of the caller's known state
+    (which wins a tie) and the nearer unanimous state, as int64, when that
+    state differs from ``signs`` on at most n/16 vertices; otherwise the
+    whole adjacency is multiplied in its degree-sized dtype (int8 at mean
+    degree 20).
     """
     n = g.n
-    if known is not None:
-        known_signs, known_sums = known
-        differ = signs != known_signs
-        k = int(np.count_nonzero(differ))
-        if _DELTA_SHARE * k <= n:
-            if k == 0:
-                return known_sums
-            changed = np.flatnonzero(differ)
-            now_plus = signs[changed] > 0
-            return _shifted_sums(g, known_sums, 1, changed[now_plus], changed[~now_plus])
     if positives is None:
         positives = int(np.count_nonzero(signs > 0))
-    if _DELTA_SHARE * min(positives, n - positives) > n:
+    # the nearer unanimous state M has sums M*deg and differs on the minority
+    majority = 1 if 2 * positives > n else -1
+    k, differ, base, sign = min(positives, n - positives), None, g.degrees, majority
+    if known is not None:
+        known_differ = signs != known[0]
+        known_k = int(np.count_nonzero(known_differ))
+        if known_k == 0:
+            return known[1]
+        if known_k <= k:
+            k, differ, base, sign = known_k, known_differ, known[1], 1
+    if _DELTA_SHARE * k > n:
         a = g._adjacency
         return a @ signs.astype(a.dtype, copy=False)
-    # unanimous M has sums M*deg, and each minority vertex holds -M
-    majority = 1 if 2 * positives > n else -1
-    minority = np.flatnonzero(signs != majority)
-    none = minority[:0]
-    if majority > 0:
-        return _shifted_sums(g, g.degrees, 1, none, minority)
-    return _shifted_sums(g, g.degrees, -1, minority, none)
+    changed = np.flatnonzero(signs != majority if differ is None else differ)
+    now_plus = signs[changed] > 0
+    return _shifted_sums(g, base, sign, changed[now_plus], changed[~now_plus])
 
 
 def _shifted_sums(g: Graph, base: np.ndarray, sign: int, plus, minus) -> np.ndarray:

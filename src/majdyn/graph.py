@@ -88,9 +88,9 @@ def _rng(seed) -> np.random.Generator:
 class Graph:
     """Immutable undirected graph on vertices ``0..n-1`` in CSR form.
 
-    Construction, unpickling included, checks that the offsets never
-    decrease and every neighbour id lies in ``0..n-1``, so the step never
-    reads outside its arrays; :meth:`validate` checks the rest.
+    Construction, unpickling included, checks that both arrays are 1-D,
+    the offsets never decrease and every id lies in ``0..n-1``, so the
+    step never reads outside its arrays; :meth:`validate` checks the rest.
     """
 
     def __init__(self, n: int, offsets, neighbors):
@@ -169,9 +169,11 @@ class Graph:
 
 
 def _integers(what: str, values) -> np.ndarray:
-    """``values`` as an array, uncast; ValueError unless it is empty or of
-    an integer dtype, so no float is truncated and no id wraps unseen."""
+    """``values`` as a 1-D array, uncast; ValueError unless it is empty or
+    of an integer dtype, so no float is truncated and no id wraps unseen."""
     a = np.asarray(values)
+    if a.ndim != 1:
+        raise ValueError(f"{what} must be 1-D, got shape {a.shape}")
     if a.size and a.dtype.kind not in "iu":
         raise ValueError(f"{what} must be integers, got dtype {a.dtype}")
     return a

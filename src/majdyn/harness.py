@@ -154,8 +154,7 @@ def _run_trial(cfg: ExperimentConfig, index: int, shared_graph: Graph | None = N
     try:
         p = cfg.resolved_p()
         g = shared_graph if shared_graph is not None else sample_gnp(cfg.n, p, graph_ss)
-        census_report = None
-        swing_size = None
+        swing_fields, reference = {}, None
         if cfg.model.kind == "uniform":
             s0 = sample_uniform(cfg.n, opinion_ss)
         elif cfg.model.kind == "fixed_discrepancy":
@@ -163,16 +162,19 @@ def _run_trial(cfg: ExperimentConfig, index: int, shared_graph: Graph | None = N
         else:
             r0 = sample_morning(cfg.n, opinion_ss)
             s0, swing = apply_swing(r0, cfg.model.c, swing_ss)
-            swing_size = int(swing.size)
+            swing_fields["swing_count"] = int(swing.size)
             if cfg.gamma is not None:
-                census_report = census(g, r0, swing, cfg.gamma, p)
-        if census_report is None:
-            traj = run(g, s0, cfg.day_cap)
-        else:
-            # the swung run's first two days sum from the census's days
-            traj = run(g, s0, cfg.day_cap, reference=census_report.reference)
+                report = census(g, r0, swing, cfg.gamma, p)
+                swing_fields.update(
+                    almost_positive=report.almost_positive, unstable=report.unstable,
+                    unstable_with_swing=report.unstable_with_swing, excess=report.excess,
+                    alpha_hat=report.excess / (p * cfg.n ** 1.5),
+                )
+                # the swung run's first two days sum from the census's days
+                reference = report.reference
+        traj = run(g, s0, cfg.day_cap, reference=reference)
         out = traj.outcome
-        record = TrialRecord(
+        return TrialRecord(
             index=index,
             seed=seed_id,
             edge_count=g.edge_count,
@@ -184,18 +186,8 @@ def _run_trial(cfg: ExperimentConfig, index: int, shared_graph: Graph | None = N
             final_bias=traj.days[-1].bias,
             days_simulated=len(traj.days) - 1,
             bias_by_day=tuple(d.bias for d in traj.days),
-            swing_count=swing_size,
+            **swing_fields,
         )
-        if census_report is not None:
-            record = replace(
-                record,
-                almost_positive=census_report.almost_positive,
-                unstable=census_report.unstable,
-                unstable_with_swing=census_report.unstable_with_swing,
-                excess=census_report.excess,
-                alpha_hat=census_report.excess / (p * cfg.n ** 1.5),
-            )
-        return record
     except Exception as exc:  # per-trial failures are data, not crashes
         return TrialRecord(
             index=index, seed=seed_id, edge_count=0, outcome="error", sign=0, period=0,
@@ -398,9 +390,13 @@ def bias_sweep(cfg: ExperimentConfig, d_values) -> Table:
 
 def density_sweep(cfg: ExperimentConfig, p_values) -> Table:
     """Unanimity probability as a function of the density p, with the
-    config's model; every p reuses the same master seed."""
+    config's model; every p reuses the same master seed.  Each p replaces
+    the config's p, which validation needs; a p_spec is rejected, never
+    replaced."""
+    if cfg.p_spec is not None:
+        raise ValueError("the p sweep would replace the config's p_spec: each row runs at one p")
     p_values = [float(p) for p in p_values]
-    rows = tuple({"p": p, **_sweep_row(run_experiment(replace(cfg, p=p, p_spec=None)))}
+    rows = tuple({"p": p, **_sweep_row(run_experiment(replace(cfg, p=p)))}
                  for p in p_values)
     return Table(("p", *_SWEEP_COLUMNS), rows)
 

@@ -1,8 +1,10 @@
-"""Shared graph builders for the test suite."""
+"""Shared graph builders and adjacency probes for the test suite."""
 
 from __future__ import annotations
 
 import itertools
+
+import numpy as np
 
 from majdyn import from_edges
 
@@ -25,3 +27,26 @@ def star_graph(leaves):
 
 def empty_graph(n):
     return from_edges(n, [])
+
+
+class CountingAdjacency:
+    """Stands in for a graph's cached adjacency: forwards everything to the
+    CSR matrix, and counts its full products ``a @ x`` and, per call, the
+    rows that ``a[rows]`` gathers.  Install it with
+    ``g.__dict__["_adjacency"] = CountingAdjacency(g._adjacency)``."""
+
+    def __init__(self, a):
+        self.a = a
+        self.products = 0
+        self.gathers: list[int] = []
+
+    def __matmul__(self, x):
+        self.products += 1
+        return self.a @ x
+
+    def __getitem__(self, rows):
+        self.gathers.append(int(np.size(rows)))
+        return self.a[rows]
+
+    def __getattr__(self, name):
+        return getattr(self.a, name)

@@ -576,11 +576,11 @@ class TestFailurePaths:
         real = majdyn.harness.run
         calls = []
 
-        def run(g, s0, day_cap):
+        def run(g, s0, day_cap, reference=None):
             calls.append(None)
             if len(calls) in fail_trials:
                 raise RuntimeError("forced")
-            return real(g, s0, day_cap)
+            return real(g, s0, day_cap, reference=reference)
 
         monkeypatch.setattr(majdyn.harness, "run", run)
 
@@ -606,10 +606,10 @@ class TestFailurePaths:
     def test_failed_trial_stdout_matches_output_file(self, capsys, monkeypatch, tmp_path, fmt):
         real = majdyn.harness.run
 
-        def run(g, s0, day_cap):  # fails the same trials on every invocation
+        def run(g, s0, day_cap, reference=None):  # fails the same trials on every invocation
             if s0.signs()[0] > 0:
                 raise RuntimeError('bad, "quoted" value')
-            return real(g, s0, day_cap)
+            return real(g, s0, day_cap, reference=reference)
 
         monkeypatch.setattr(majdyn.harness, "run", run)
         argv = ["run", "--n", "40", "--p", "0.1", "--trials", "6", "--seed", "5", "--format", fmt]

@@ -15,7 +15,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import complete_graph, cycle_graph, empty_graph, path_graph, star_graph
+from conftest import (
+    CountingAdjacency,
+    complete_graph,
+    cycle_graph,
+    empty_graph,
+    path_graph,
+    star_graph,
+)
 from majdyn import (
     OpinionModel,
     OpinionVector,
@@ -507,6 +514,42 @@ class TestKnownSums:
             # the known state; the matvec keeps the adjacency's dtype
             assert (got.dtype == np.int64 or got is sums) == from_known
             assert np.array_equal(got, neighbor_sums(g, s))
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        n=st.integers(min_value=16, max_value=400),
+        p=st.floats(min_value=0.0, max_value=0.3),
+        majority=st.sampled_from([1, -1]),
+        seed=st.integers(min_value=0, max_value=2**31),
+        data=st.data(),
+    )
+    def test_the_nearer_state_within_n_over_16_gives_the_sums(self, n, p, majority, seed, data):
+        # distances to the nearer unanimous state and to the known state:
+        # none, either side of n/16, within it, and any, so either state is
+        # sometimes the nearer one with both inside n/16
+        edge = st.sampled_from([n // 16, n // 16 + 1])
+        small = st.integers(min_value=0, max_value=n // 16)
+        minority = data.draw(st.one_of(edge, small, st.integers(min_value=0, max_value=n // 2)))
+        k = data.draw(st.one_of(st.just(0), edge, small, st.integers(min_value=0, max_value=n)))
+        g = sample_gnp(n, p, seed)
+        s = with_minority(n, minority, majority, seed + 1)
+        known = flipped(s, k, seed + 2)
+        expected = g._adjacency @ s.signs().astype(np.int64)
+        known_sums = g._adjacency @ known.signs().astype(np.int64)
+        counter = CountingAdjacency(g._adjacency)
+        g.__dict__["_adjacency"] = counter
+        got = _neighbor_sums(g, s.signs(), s.positives(), (known.signs(), known_sums))
+        assert np.array_equal(got, expected)
+        # the rows gathered are the chosen state's distance; at distance 0
+        # the known state hands back its own sums
+        nearest = min(k, minority)
+        if k == 0:
+            assert got is known_sums and counter.gathers == []
+        elif 16 * nearest <= n:
+            assert sum(counter.gathers) == nearest and counter.products == 0
+        else:
+            assert counter.gathers == [] and counter.products == 1
+        assert all(16 * rows <= n for rows in counter.gathers)
 
     def test_known_state_of_the_wrong_size_is_rejected(self):
         g = path_graph(3)

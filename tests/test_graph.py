@@ -429,6 +429,21 @@ class TestGraphInit:
         with pytest.raises(ValueError, match=f"^{what} must be integers, got dtype float64$"):
             Graph(2, offsets, neighbors)
 
+    @pytest.mark.parametrize("offsets, neighbors, what", [
+        # the size matches the offsets, so only the shape is wrong
+        ([0, 1, 2], np.array([[1], [0]]), "neighbor ids"),
+        (np.array([[0, 1, 2]]), [1, 0], "offsets"),
+    ], ids=["2d-ids", "2d-offsets"])
+    def test_rejects_arrays_that_are_not_1d(self, offsets, neighbors, what):
+        with pytest.raises(ValueError, match=f"^{what} must be 1-D, got shape "):
+            Graph(2, offsets, neighbors)
+
+    def test_unpickling_checks_the_shape_too(self):
+        state = path_graph(3).__getstate__()
+        state["neighbors"] = state["neighbors"].reshape(2, 2)
+        with pytest.raises(ValueError, match="^neighbor ids must be 1-D, got shape"):
+            Graph.__new__(Graph).__setstate__(state)
+
     def test_accepts_empty_neighbors_of_any_dtype(self):
         for neighbors in ([], np.empty(0), np.empty(0, dtype=np.uint64)):
             assert Graph(3, [0, 0, 0, 0], neighbors).edge_count == 0

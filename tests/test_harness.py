@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import CountingAdjacency
 from majdyn import (
     BinomSpec,
     ExperimentConfig,
@@ -40,25 +41,6 @@ from majdyn import (
 )
 from majdyn import harness
 from majdyn.harness import aggregates_path, report_to_dict
-
-
-class CountingAdjacency:
-    """Stands in for a graph's cached adjacency: forwards everything to the
-    CSR matrix and counts its full products ``a @ x``."""
-
-    def __init__(self, a):
-        self.a = a
-        self.products = 0
-
-    def __matmul__(self, x):
-        self.products += 1
-        return self.a @ x
-
-    def __getitem__(self, key):
-        return self.a[key]
-
-    def __getattr__(self, name):
-        return getattr(self.a, name)
 
 
 def small_cfg(**kw):
@@ -446,21 +428,26 @@ class TestBiasSweep:
 class TestDensitySweep:
     @pytest.mark.parametrize("cfg", [
         small_cfg(trials=4),
-        # a density regime is replaced by each p; the model and gamma are kept
-        ExperimentConfig(n=101, p_spec=PSpec.upper(), trials=3, master_seed=5,
+        # the base p is replaced by each p; the model and gamma are kept
+        ExperimentConfig(n=101, p=0.1, trials=3, master_seed=5,
                          model=OpinionModel("morning_evening", c=1.0), gamma=0.1),
-    ], ids=["uniform", "regime-census"])
+    ], ids=["uniform", "census"])
     def test_rows_are_one_experiment_per_density(self, cfg):
         table = density_sweep(cfg, [0.02, 0.3])
         assert len(table.rows) == 2
         for p, row in zip([0.02, 0.3], table.rows):
-            agg = run_experiment(replace(cfg, p=p, p_spec=None)).aggregates
+            agg = run_experiment(replace(cfg, p=p)).aggregates
             assert row == {
                 "p": p,
                 "trials": cfg.trials,
                 "unanimity_fraction": agg["unanimity_fraction"],
                 "median_unanimity_day": agg["median_unanimity_day"],
             }
+
+    def test_rejects_a_density_formula_it_would_replace(self):
+        cfg = ExperimentConfig(n=200, p_spec=PSpec.upper(), trials=2)
+        with pytest.raises(ValueError, match="would replace the config's p_spec"):
+            density_sweep(cfg, [0.1, 0.2])
 
 
 def _other_value(value, hint):
