@@ -6,6 +6,13 @@ slices ``neighbors`` to give the strictly increasing neighbor list of vertex
 twice the edge count.  Instances are immutable after construction and safe to
 share across threads.
 
+``offsets`` is held once, in scipy's CSR index dtype: int32 while
+``len(neighbors) < 2**31``, else int64.  The sampler's upper-triangle rows
+and scipy's merge hand it over in that dtype, and the scipy adjacency uses
+it as its ``indptr`` without a copy, so no graph keeps a second,
+differently typed copy of its row pointers.  Dumps store offsets as u64
+whatever their width in memory.
+
 All randomness flows through numpy's PCG64 generator (``default_rng``).
 Sampling is deterministic per seed: identical ``(n, p, seed)`` give an
 identical graph, bit for bit.
@@ -89,8 +96,11 @@ class Graph:
     """Immutable undirected graph on vertices ``0..n-1`` in CSR form.
 
     Construction, unpickling included, checks that both arrays are 1-D,
-    the offsets never decrease and every id lies in ``0..n-1``, so the
-    step never reads outside its arrays; :meth:`validate` checks the rest.
+    the offsets start at 0, never decrease and end at ``len(neighbors)``,
+    and every id lies in ``0..n-1``, all on the values as given, before
+    the offsets are cast to the index dtype (int32 below 2**31 neighbours)
+    and the ids to int32, so no value wraps and the step never reads
+    outside its arrays; :meth:`validate` checks the rest.
     """
 
     def __init__(self, n: int, offsets, neighbors):
@@ -102,14 +112,16 @@ class Graph:
         # 2**bits - |id|; int32 holds ids below 2**31 only
         if ids.size and ids.view(ids.dtype.str.replace("i", "u")).max() >= min(self.n, 2**31):
             raise ValueError(f"neighbor id out of range for n={self.n}")
-        self.offsets = np.ascontiguousarray(offsets, dtype=np.int64)
-        self.neighbors = np.ascontiguousarray(ids, dtype=np.int32)
-        if self.offsets.shape != (self.n + 1,):
+        # offsets too are checked as given, so every one lies in 0..len(ids)
+        # before the cast to the index dtype, and none wraps in 32 bits
+        if offsets.shape != (self.n + 1,):
             raise ValueError("offsets must have length n + 1")
-        if self.offsets[0] != 0 or self.offsets[-1] != self.neighbors.size:
+        if offsets[0] != 0 or offsets[-1] != ids.size:
             raise ValueError("offsets must start at 0 and end at len(neighbors)")
-        if np.any(self.offsets[1:] < self.offsets[:-1]):
+        if np.any(offsets[1:] < offsets[:-1]):
             raise ValueError("offsets must be non-decreasing")
+        self.offsets = np.ascontiguousarray(offsets, dtype=_index_dtype(ids.size))
+        self.neighbors = np.ascontiguousarray(ids, dtype=np.int32)
         self.offsets.setflags(write=False)
         self.neighbors.setflags(write=False)
 
@@ -131,8 +143,7 @@ class Graph:
         """
         dtype = np.min_scalar_type(-(int(self.degrees.max()) + 1))
         data = np.ones(self.neighbors.size, dtype=dtype)
-        indptr = self.offsets.astype(np.int32) if self.neighbors.size < 2**31 else self.offsets
-        return _sparse().csr_matrix((data, self.neighbors, indptr), shape=(self.n, self.n))
+        return _sparse().csr_matrix((data, self.neighbors, self.offsets), shape=(self.n, self.n))
 
     def __getstate__(self) -> dict:
         # the constructor's arguments only: the cached views are rebuilt on demand
@@ -166,6 +177,12 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edge_count})"
+
+
+def _index_dtype(size: int) -> type:
+    """scipy's CSR index dtype for ``size`` stored entries: int32 below
+    2**31, else int64."""
+    return np.int32 if size < 2**31 else np.int64
 
 
 def _integers(what: str, values) -> np.ndarray:
@@ -204,15 +221,17 @@ def _row_start(n: int, u: np.ndarray) -> np.ndarray:
 
 
 def _upper_rows(n: int, blocks, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Upper-triangle CSR (int64 row pointers, int32 columns) from blocks of
-    sorted, unique linear pair indices, each block above the one before.
+    """Upper-triangle CSR (row pointers in scipy's index dtype, int32
+    columns) from blocks of sorted, unique linear pair indices, each block
+    above the one before.
 
     Pair (u, v), u < v, has index R(u) + v - u - 1 in the lexicographic
     enumeration.  Row starts R(w) are exact integers, so a binary search of
     the starts a block spans cuts it into rows, and each column is written
     straight into one int32 array of ``size`` slots (grown if a block runs
     past them): the difference fits in 32 bits, so the int64 indices never
-    need to outlive their block.
+    need to outlive their block.  The row pointers are built in int64 and
+    narrowed on return, so the wide copy is gone before ``U + Uᵀ``.
     """
     starts = _row_start(n, np.arange(n + 1, dtype=np.int64))
     upptr = np.zeros(n + 1, dtype=np.int64)
@@ -232,7 +251,7 @@ def _upper_rows(n: int, blocks, size: int) -> tuple[np.ndarray, np.ndarray]:
         done += lin.size
         w = end
     upptr[w:] = done
-    return upptr, cols[:done]
+    return upptr.astype(_index_dtype(done)), cols[:done]
 
 
 def _symmetric(n: int, upptr: np.ndarray, cols: np.ndarray) -> Graph:
@@ -241,12 +260,12 @@ def _symmetric(n: int, upptr: np.ndarray, cols: np.ndarray) -> Graph:
     scipy's counting transpose of U's bool CSR is the CSR of Uᵀ with sorted
     rows, and its sorted merge of the two (disjoint) patterns gives every
     row sorted: the lower neighbours (< w) of row w all precede the upper.
+    The merge's own ``indptr``, in scipy's index dtype for 2m entries,
+    becomes the graph's offsets as it is.
     """
-    m = cols.size
-    idx = np.int32 if 2 * m < 2**31 else np.int64
-    upper = _sparse().csr_matrix((np.ones(m, dtype=bool), cols, upptr.astype(idx)), shape=(n, n))
+    upper = _sparse().csr_matrix((np.ones(cols.size, dtype=bool), cols, upptr), shape=(n, n))
     both = upper + upper.T.tocsr()
-    return Graph(n, both.indptr.astype(np.int64), both.indices)
+    return Graph(n, both.indptr, both.indices)
 
 
 def _gap_source(rng: np.random.Generator, p: float, total: int, size: int):
@@ -322,7 +341,7 @@ def sample_gnp(n: int, p: float, seed) -> Graph:
         raise ValueError("p must lie in [0, 1]")
     total = n * (n - 1) // 2
     if p == 0.0 or total == 0:
-        return Graph(n, np.zeros(n + 1, dtype=np.int64), np.empty(0, dtype=np.int32))
+        return Graph(n, np.zeros(n + 1, dtype=np.int32), np.empty(0, dtype=np.int32))
     # 10 sigma above the expected edge count: the column array is nearly
     # always sized once, and it is the first block of gaps
     expect = total * p
@@ -435,12 +454,15 @@ def estimate_jumbledness(
 
 def save_graph(g: Graph, path) -> None:
     """Write the little-endian binary dump: header (magic, version, n,
-    edge_count), then offsets as u64 and neighbors as u32."""
+    edge_count), then offsets as u64 and neighbors as u32.  Offsets held
+    as int32 are widened to u64 on write, so the format does not depend
+    on the in-memory index dtype."""
     try:
         with open(path, "wb") as fh:
             fh.write(_HEADER.pack(_MAGIC, _VERSION, g.n, g.edge_count))
             # every value is non-negative, so the signed arrays have the
-            # u64/u32 bytes already and are written without a copy
+            # u64/u32 bytes: int32 offsets are widened in one n-sized copy,
+            # the neighbours are written without one
             fh.write(g.offsets.astype("<i8", copy=False))
             fh.write(g.neighbors.astype("<i4", copy=False))
     except OSError as exc:
@@ -452,9 +474,11 @@ def load_graph(path) -> Graph:
 
     Each section is read with ``readinto`` straight into its final array,
     after the file's length has been checked against the header, so the
-    load holds no copy of the file.  Rejects bad magic, unknown versions,
+    load holds no copy of the file; only the offsets are narrowed, in one
+    n-sized copy.  Rejects bad magic, unknown versions,
     truncated files and, through :class:`Graph` with the path prefixed,
-    decreasing offsets and ids outside ``0..n-1``, so no id wraps as int32.
+    offsets that do not run from 0 up to the neighbour count and ids
+    outside ``0..n-1``, so no offset or id wraps as int32.
     Symmetry, sortedness and self-loops are left to :meth:`Graph.validate`:
     about 0.45 s at n=10^6, p=2e-5 on a 2-core Xeon, adjacency build
     included, against about 0.04 s for the load itself.

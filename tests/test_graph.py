@@ -42,7 +42,9 @@ _HEADER_BYTES = 28
 
 
 def csr_digest(g):
-    return hashlib.sha256(g.offsets.tobytes() + g.neighbors.tobytes()).hexdigest()
+    # offsets at the dump's width, so the digest pins the graph, not the
+    # in-memory index dtype
+    return hashlib.sha256(g.offsets.astype(np.int64).tobytes() + g.neighbors.tobytes()).hexdigest()
 
 
 class TestSampleGnp:
@@ -407,6 +409,22 @@ class TestGraphInit:
         with pytest.raises(ValueError, match="offsets must be non-decreasing"):
             Graph.__new__(Graph).__setstate__(state)
 
+    @pytest.mark.parametrize("offsets, message", [
+        ([2**32, 1, 2], "must start at 0"),
+        ([0, 2**32, 2], "must be non-decreasing"),
+        ([0, 1, 2**32 + 2], "must start at 0"),
+    ], ids=["first", "middle", "last"])
+    def test_rejects_offsets_that_wrap_in_32_bits(self, offsets, message):
+        # checked before the int32 cast, which would read [0, 1, 2] or [0, 0, 2]
+        with pytest.raises(ValueError, match=f"^offsets {message}"):
+            Graph(2, np.array(offsets, dtype=np.int64), [1, 0])
+
+    def test_unpickling_checks_offsets_before_the_cast(self):
+        state = path_graph(2).__getstate__()
+        state["offsets"] = np.array([0, 2**32, 2], dtype=np.int64)
+        with pytest.raises(ValueError, match="^offsets must be non-decreasing$"):
+            Graph.__new__(Graph).__setstate__(state)
+
     @pytest.mark.parametrize("n, offsets, neighbors", [
         (2, [0, 1, 2], [-1, 0]),
         (2, [0, 1, 2], [1, 2]),
@@ -644,6 +662,17 @@ class TestSerialization:
         with pytest.raises(ValueError, match=message):
             load_graph(path)
 
+    def test_rejects_offsets_that_wrap_in_32_bits(self, tmp_path):
+        # offsets 0, 1, 3, 5, 6 become 0, 2**32 + 1, 3, 5, 6: an int32 cast
+        # would read the path's own offsets back
+        path, raw = self._path_dump(tmp_path)
+        off1 = _HEADER_BYTES + 8
+        raw[off1:off1 + 8] = (2**32 + 1).to_bytes(8, "little")
+        path.write_bytes(bytes(raw))
+        message = f"^{re.escape(str(path))}: offsets must be non-decreasing$"
+        with pytest.raises(ValueError, match=message):
+            load_graph(path)
+
     def test_asymmetric_dump_is_left_to_validate(self, tmp_path):
         # vertex 3's neighbour 2 edited to 0: in range, but 0 does not list 3
         path, raw = self._path_dump(tmp_path)
@@ -711,6 +740,27 @@ class TestSerialization:
     def test_missing_file_has_path_context(self, tmp_path):
         with pytest.raises(OSError, match="nope.bin"):
             load_graph(tmp_path / "nope.bin")
+
+
+class TestIndexDtype:
+    """Offsets are held once, in scipy's index dtype, and the adjacency
+    uses them as its row pointers without a copy."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: sample_gnp(2000, 0.01, 5),
+        lambda: sample_gnp(5, 0.0, 0),
+        lambda: from_edges(4, [(2, 1), (0, 3), (0, 1)]),
+        lambda: TestSerialization._load_bytes(TestSerialization._dump(sample_gnp(300, 0.05, 11))),
+        lambda: pickle.loads(pickle.dumps(sample_gnp(300, 0.05, 11))),
+    ], ids=["sampled", "sampled-empty", "from-edges", "loaded", "unpickled"])
+    def test_offsets_are_int32_and_shared_with_the_adjacency(self, build):
+        g = build()
+        assert g.offsets.dtype == np.int32 and g.degrees.dtype == np.int32
+        assert np.shares_memory(g.offsets, g._adjacency.indptr)
+
+    def test_int64_only_from_2_to_the_31_entries(self):
+        assert graph_module._index_dtype(2**31 - 1) is np.int32
+        assert graph_module._index_dtype(2**31) is np.int64
 
 
 class TestPickling:
