@@ -35,9 +35,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-_VERBOSE = True
-
-
 def _to_devnull(stream) -> None:
     """Point ``stream``'s descriptor at devnull once its reader has gone, so
     that later writes, and the interpreter's final flush, fail silently."""
@@ -46,8 +43,8 @@ def _to_devnull(stream) -> None:
     os.close(devnull)
 
 
-def _log(msg: str) -> None:
-    if _VERBOSE:
+def _log(args, msg: str) -> None:
+    if not args.quiet:
         try:
             print(msg, file=sys.stderr)
         except BrokenPipeError:  # progress only: the command's output goes on
@@ -176,12 +173,12 @@ def _cmd_run(args) -> int:
     cfg = _config_from_args(args)
     report = harness.run_experiment(cfg)
     errors = report.aggregates["errors"]
-    _log(f"ran {cfg.trials} trials at n={cfg.n} p={cfg.resolved_p():.6g}; "
-         f"unanimity fraction {report.aggregates['unanimity_fraction']:.3f}; errors {errors}")
+    _log(args, f"ran {cfg.trials} trials at n={cfg.n} p={cfg.resolved_p():.6g}; "
+               f"unanimity fraction {report.aggregates['unanimity_fraction']:.3f}; errors {errors}")
     for written in harness.write_report(report, args.output or sys.stdout, args.format):
-        _log(f"wrote {written}")
+        _log(args, f"wrote {written}")
     if errors == cfg.trials:
-        _log(f"every trial failed; first error: {report.trials[0].error}")
+        _log(args, f"every trial failed; first error: {report.trials[0].error}")
         return 2
     return 0
 
@@ -234,14 +231,14 @@ def _cmd_contraction(args) -> int:
     cfg = _config_from_args(args)
     if args.bias_floor == "auto":
         floor = harness.auto_bias_floor(cfg)
-        _log(f"auto bias floor: {floor}")
+        _log(args, f"auto bias floor: {floor}")
     else:
         floor = _number("--bias-floor", args.bias_floor, int)
     table = harness.contraction_experiment(cfg, floor)
     harness.write_table(table, args.output or sys.stdout, args.format)
     small = sum(1 for row in table.rows if row["minority_share_next"] <= 0.45)
-    _log(f"qualifying trials: {len(table.rows)}; minority share <= 0.45 next day: "
-         f"{small / len(table.rows) if table.rows else None}")
+    _log(args, f"qualifying trials: {len(table.rows)}; minority share <= 0.45 next day: "
+               f"{small / len(table.rows) if table.rows else None}")
     return 0
 
 
@@ -258,9 +255,9 @@ def _cmd_verify_lemmas(args) -> int:
                         args.output or sys.stdout, args.format)
     failed = [r.name for r in results if not r.passed]
     if failed:
-        _log(f"FAILED checks: {', '.join(failed)}")
+        _log(args, f"FAILED checks: {', '.join(failed)}")
         return 2
-    _log(f"all {len(results)} checks passed")
+    _log(args, f"all {len(results)} checks passed")
     return 0
 
 
@@ -269,7 +266,7 @@ def _cmd_gen_graph(args) -> int:
         raise ValueError(f"--seed must be non-negative, got {args.seed}")
     g = sample_gnp(args.n, args.p, args.seed)
     save_graph(g, args.output)
-    _log(f"wrote {args.output}: n={g.n} edges={g.edge_count}")
+    _log(args, f"wrote {args.output}: n={g.n} edges={g.edge_count}")
     return 0
 
 
@@ -285,14 +282,12 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    global _VERBOSE
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
         if args.command is None:
             parser.print_usage(sys.stderr)
             return 1
-        _VERBOSE = not getattr(args, "quiet", False)
         try:
             code = _COMMANDS[args.command](args)
             sys.stdout.flush()  # so a closed pipe raises here, not at exit

@@ -13,7 +13,9 @@ it as its ``indptr`` without a copy, so no graph keeps a second,
 differently typed copy of its row pointers.  Dumps store offsets as u64
 whatever their width in memory.
 
-All randomness flows through numpy's PCG64 generator (``default_rng``).
+All randomness flows through numpy's PCG64 generator: every ``seed`` goes
+to ``np.random.default_rng``, which takes an int or a SeedSequence and
+hands a Generator back unchanged.
 Sampling is deterministic per seed: identical ``(n, p, seed)`` give an
 identical graph, bit for bit.
 
@@ -33,9 +35,11 @@ The scipy adjacency used by the dynamics stores its ones in the narrowest
 signed dtype that holds every neighbour sum (int8 up to maximum degree
 127), sized from the graph itself.
 
-``scipy.sparse`` is imported on the first adjacency build or CSR assembly,
-not with this module, so ``import majdyn`` loads numpy only and a command
-that never builds a graph (``verify-lemmas``) never loads the sparse stack.
+``scipy.sparse`` is imported inside the functions that build a CSR (the
+adjacency and :func:`_symmetric`), not with this module, so ``import
+majdyn`` loads numpy only and a command that never builds a graph
+(``verify-lemmas``) never loads the sparse stack; after the first build
+Python's import cache makes the import a lookup.
 
 Edge counts e(U, V) between vertex sets, for :func:`edges_between` and the
 jumbledness witness alike, come from one sparse × dense product: the
@@ -70,26 +74,6 @@ _HEADER = struct.Struct("<8sIQQ")
 _BLOCK_BYTES = 1 << 23
 # skip gaps drawn, summed and cut into rows at a time by the sampler
 _GAP_BLOCK = 1 << 18
-# scipy.sparse once _sparse has imported it
-_sp = None
-
-
-def _sparse():
-    """``scipy.sparse``, imported on the first call and kept in ``_sp``."""
-    global _sp
-    if _sp is None:
-        import scipy.sparse
-
-        _sp = scipy.sparse
-    return _sp
-
-
-def _rng(seed) -> np.random.Generator:
-    """Build a PCG64 generator from an int seed, a SeedSequence, or pass
-    an existing Generator through."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
 
 
 class Graph:
@@ -141,9 +125,11 @@ class Graph:
         sum, -deg..deg, so a matvec of signs cast to that dtype is exact:
         int8 up to degree 127, int16 up to 32767, else int32 or wider.
         """
+        import scipy.sparse as sp
+
         dtype = np.min_scalar_type(-(int(self.degrees.max()) + 1))
         data = np.ones(self.neighbors.size, dtype=dtype)
-        return _sparse().csr_matrix((data, self.neighbors, self.offsets), shape=(self.n, self.n))
+        return sp.csr_matrix((data, self.neighbors, self.offsets), shape=(self.n, self.n))
 
     def __getstate__(self) -> dict:
         # the constructor's arguments only: the cached views are rebuilt on demand
@@ -263,7 +249,9 @@ def _symmetric(n: int, upptr: np.ndarray, cols: np.ndarray) -> Graph:
     The merge's own ``indptr``, in scipy's index dtype for 2m entries,
     becomes the graph's offsets as it is.
     """
-    upper = _sparse().csr_matrix((np.ones(cols.size, dtype=bool), cols, upptr), shape=(n, n))
+    import scipy.sparse as sp
+
+    upper = sp.csr_matrix((np.ones(cols.size, dtype=bool), cols, upptr), shape=(n, n))
     both = upper + upper.T.tocsr()
     return Graph(n, both.indptr, both.indices)
 
@@ -346,7 +334,7 @@ def sample_gnp(n: int, p: float, seed) -> Graph:
     # always sized once, and it is the first block of gaps
     expect = total * p
     size = int(expect + 10.0 * math.sqrt(expect + 1.0)) + 16
-    blocks = _pair_blocks(_rng(seed), p, total, size)
+    blocks = _pair_blocks(np.random.default_rng(seed), p, total, size)
     return _symmetric(n, *_upper_rows(n, blocks, min(size, total)))
 
 
@@ -434,7 +422,7 @@ def estimate_jumbledness(
         raise ValueError("empty subset size range")
     if 2 * hi > g.n:
         raise ValueError("subset sizes must allow disjoint pairs (2*max <= n)")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
 
     def draws():
         for _ in range(pairs):

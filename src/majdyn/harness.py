@@ -253,17 +253,19 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     if cfg.quenched:
         graph_ss = _trial_seed_sequence(cfg.master_seed, cfg.trials)
         shared = sample_gnp(cfg.n, cfg.resolved_p(), graph_ss)
-    if cfg.workers == 1:
+    # a pool forks all its workers at the first submit: never more than trials
+    workers = min(cfg.workers, cfg.trials)
+    if workers == 1:
         records = [_run_trial(cfg, i, shared) for i in range(cfg.trials)]
     else:
         # the process pool costs its import only where it is used
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             # one chunk per worker: a quenched graph is pickled once per chunk
             records = list(
                 pool.map(_run_trial, [cfg] * cfg.trials, range(cfg.trials), [shared] * cfg.trials,
-                         chunksize=-(-cfg.trials // cfg.workers))
+                         chunksize=-(-cfg.trials // workers))
             )
     trials = tuple(records)
     return ExperimentReport(cfg, trials, compute_aggregates(trials))
@@ -326,7 +328,7 @@ def contraction_experiment(cfg: ExperimentConfig, bias_floor: int) -> Table:
         t_star = next((d for d, b in enumerate(t.bias_by_day) if abs(b) >= bias_floor), None)
         if t_star is None or t_star + 1 >= len(t.bias_by_day):
             continue
-        minority = [(n - abs(b)) // 2 for b in t.bias_by_day[t_star:]]
+        minority = tuple((n - abs(b)) // 2 for b in t.bias_by_day[t_star:])
         share_next = minority[1] / n
         monotone = all(b <= a for a, b in zip(minority[1:], minority[2:]))
         rows.append(
@@ -334,7 +336,7 @@ def contraction_experiment(cfg: ExperimentConfig, bias_floor: int) -> Table:
                 "trial": t.index,
                 "t_star": t_star,
                 "minority_share_next": share_next,
-                "minority_by_day": " ".join(str(m) for m in minority),
+                "minority_by_day": minority,
                 "monotone_after_jump": monotone,
             }
         )

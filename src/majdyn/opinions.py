@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import OpinionVector, _neighbor_sums, majority_step
-from .graph import Graph, _rng
+from .graph import Graph
 
 MODEL_KINDS = ("uniform", "fixed_discrepancy", "morning_evening")
 
@@ -64,7 +64,7 @@ def sample_uniform(n: int, seed) -> OpinionVector:
     """iid uniform +-1 opinions."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     return OpinionVector((2 * rng.integers(0, 2, size=n) - 1).astype(np.int8))
 
 
@@ -79,14 +79,14 @@ def sample_morning(n: int, seed) -> OpinionVector:
     """Balanced start: exactly ceil(n/2) positives at uniform positions."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    return _with_positives(n, (n + 1) // 2, _rng(seed))
+    return _with_positives(n, (n + 1) // 2, np.random.default_rng(seed))
 
 
 def sample_fixed_discrepancy(n: int, d: int, seed) -> OpinionVector:
     """Exactly (n+d)/2 positives at uniform positions; d must have the
     parity of n."""
     OpinionModel("fixed_discrepancy", d=d).validate(n)
-    return _with_positives(n, (n + d) // 2, _rng(seed))
+    return _with_positives(n, (n + d) // 2, np.random.default_rng(seed))
 
 
 def swing_count(n: int, c: float) -> int:
@@ -109,7 +109,7 @@ def apply_swing(r0: OpinionVector, c: float, seed) -> tuple[OpinionVector, np.nd
         raise ValueError(f"swing of {k} exceeds the {negatives.size} available -1 vertices")
     if k == 0:
         return r0, np.empty(0, dtype=np.int64)
-    swing = np.sort(_rng(seed).choice(negatives, size=k, replace=False))
+    swing = np.sort(np.random.default_rng(seed).choice(negatives, size=k, replace=False))
     signs = r0.signs().copy()
     signs[swing] = 1
     return OpinionVector(signs), swing

@@ -21,14 +21,17 @@ clips them, so they are bitwise the wrapper's.  Should a scipy release drop
 the name, :func:`_binom_masses` falls back to ``scipy.stats.binom.pmf``.
 Each check builds the masses of every law it needs once.
 
-``scipy.special`` itself is imported on the first call that needs it, not
-with this module: the ufunc and ``ndtr`` are then kept in the module
-globals ``_binom_pmf`` and ``_ndtr``, so later calls import nothing.
-Setting ``_binom_pmf`` to None forces the ``scipy.stats`` fallback.
+``scipy.special`` is imported inside the functions that use it, not with
+this module; after the first call Python's import cache makes the import a
+lookup.
+:func:`_binom_pmf` returns the ufunc, or None where scipy lacks the name;
+replacing it with a function that returns None forces the ``scipy.stats``
+fallback.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -36,25 +39,16 @@ import numpy as np
 
 _CONV_TRIALS_GUARD = 20000
 _BERRY_ESSEEN_GUARD = 10**6
-# scipy.special's functions once _load_special has bound them
-_UNLOADED = object()
-_ndtr = _UNLOADED
-_binom_pmf = _UNLOADED
 
 
-def _load_special() -> None:
-    """Import ``scipy.special`` and bind ``_ndtr`` and, unless it is already
-    set (to the ufunc or to None), ``_binom_pmf``."""
-    global _ndtr, _binom_pmf
-    from scipy import special
-
-    _ndtr = special.ndtr
-    if _binom_pmf is _UNLOADED:
-        try:
-            from scipy.special._ufuncs import _binom_pmf as pmf
-        except ImportError:  # private scipy API; see the module docstring
-            pmf = None
-        _binom_pmf = pmf
+@functools.cache
+def _binom_pmf():
+    """``scipy.special._ufuncs._binom_pmf``, or None where scipy lacks it."""
+    try:
+        from scipy.special._ufuncs import _binom_pmf as pmf
+    except ImportError:  # private scipy API; see the module docstring
+        return None
+    return pmf
 
 
 @dataclass(frozen=True)
@@ -105,18 +99,17 @@ class PMF:
 def _binom_masses(spec: BinomSpec) -> np.ndarray:
     """P[X = k] for k = 0..trials, bitwise equal to ``stats.binom.pmf``.
 
-    Calls the private ufunc ``scipy.special._ufuncs._binom_pmf`` and clips
-    to [0, 1] as the rv_discrete wrapper does; without that name it falls
+    Calls the private ufunc that :func:`_binom_pmf` returns and clips to
+    [0, 1] as the rv_discrete wrapper does; where it returns None this falls
     back to the wrapper, importing ``scipy.stats`` on first use.
     """
-    if _binom_pmf is _UNLOADED:
-        _load_special()
     k = np.arange(spec.trials + 1)
-    if _binom_pmf is None:
+    pmf = _binom_pmf()
+    if pmf is None:
         from scipy import stats
 
         return stats.binom.pmf(k, spec.trials, spec.prob)
-    return np.clip(_binom_pmf(k, spec.trials, spec.prob), 0.0, 1.0)
+    return np.clip(pmf(k, spec.trials, spec.prob), 0.0, 1.0)
 
 
 def _guard_trials(*specs: BinomSpec) -> None:
@@ -160,18 +153,18 @@ def chernoff_lower(mu: float, t: float) -> float:
 def phi(x):
     """Standard normal CDF (Cephes ndtr, erfc-based rational approximation;
     absolute error below 1e-15).  Accepts scalars or arrays."""
-    if _ndtr is _UNLOADED:
-        _load_special()
-    out = _ndtr(x)
+    from scipy.special import ndtr
+
+    out = ndtr(x)
     return float(out) if np.isscalar(x) else out
 
 
 def psi(x):
     """Standard normal upper tail 1 - phi(x), computed as phi(-x) for
     accuracy in the far tail."""
-    if _ndtr is _UNLOADED:
-        _load_special()
-    out = _ndtr(np.negative(x))
+    from scipy.special import ndtr
+
+    out = ndtr(np.negative(x))
     return float(out) if np.isscalar(x) else out
 
 

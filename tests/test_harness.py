@@ -215,6 +215,41 @@ class TestRunExperiment:
         seq = run_experiment(replace(cfg, workers=1))
         assert (par.trials, par.aggregates) == (seq.trials, seq.aggregates)
 
+    @pytest.mark.parametrize("trials, workers, pool", [
+        (1, 4, []),  # no pool at all
+        (2, 500, [2, 1]),
+        (3, 3, [3, 1]),
+        (5, 2, [2, 3]),
+    ])
+    def test_pool_never_outnumbers_trials(self, monkeypatch, trials, workers, pool):
+        # a fork pool starts all max_workers at the first submit; this one
+        # records max_workers and chunksize and maps in-process, so no
+        # process starts
+        import concurrent.futures
+
+        seen = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                seen.append(chunksize)
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        cfg = small_cfg(trials=trials, workers=workers)
+        par = run_experiment(cfg)
+        assert seen == pool
+        seq = run_experiment(replace(cfg, workers=1))
+        assert (par.trials, par.aggregates) == (seq.trials, seq.aggregates)
+
     def test_trials_differ_across_indices(self):
         report = run_experiment(small_cfg(trials=6))
         assert len({t.seed for t in report.trials}) == 6
@@ -388,6 +423,17 @@ class TestContraction:
     def test_rejects_bad_floor(self):
         with pytest.raises(ValueError):
             contraction_experiment(small_cfg(), bias_floor=0)
+
+    def test_minority_counts_are_ints_from_t_star_on(self):
+        cfg = small_cfg(n=300, p=0.1, trials=5, master_seed=5)
+        table = contraction_experiment(cfg, bias_floor=10)
+        assert table.rows
+        biases = {t.index: t.bias_by_day for t in run_experiment(cfg).trials}
+        for row in table.rows:
+            minority = row["minority_by_day"]
+            assert type(minority) is tuple and all(type(m) is int for m in minority)
+            assert minority == tuple((300 - abs(b)) // 2 for b in biases[row["trial"]][row["t_star"]:])
+            assert row["minority_share_next"] == minority[1] / 300
 
 
 class TestBiasSweep:

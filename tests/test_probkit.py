@@ -394,7 +394,7 @@ class TestBinomMasses:
     def test_fallback_without_the_ufunc(self, monkeypatch):
         spec = BinomSpec(40, 0.3)
         direct = probkit._binom_masses(spec)
-        monkeypatch.setattr(probkit, "_binom_pmf", None)
+        monkeypatch.setattr(probkit, "_binom_pmf", lambda: None)
         assert probkit._binom_masses(spec).tobytes() == direct.tobytes()
 
     def test_each_law_built_once_per_check(self, monkeypatch):
