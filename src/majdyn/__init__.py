@@ -51,9 +51,7 @@ from .opinions import (
     OpinionModel,
     apply_swing,
     census,
-    day2_bias_experiment,
     sample_fixed_discrepancy,
-    sample_initial,
     sample_morning,
     sample_uniform,
     swing_count,

@@ -195,15 +195,14 @@ def _number(flag: str, text: str, kind: type):
 def _cmd_sweep(args) -> int:
     if bool(args.d_values) == bool(args.p_values):
         raise ValueError("provide exactly one of --d-values and --p-values")
-    if args.d_values:
-        grid = [_number("--d-values", v, int) for v in args.d_values.split(",") if v.strip()]
-    else:
-        grid = [_number("--p-values", v, float) for v in args.p_values.split(",") if v.strip()]
+    flag, text, kind = (("--d-values", args.d_values, int) if args.d_values
+                        else ("--p-values", args.p_values, float))
+    grid = [_number(flag, v, kind) for v in text.split(",") if v.strip()]
+    if not grid:
+        raise ValueError(f"{flag} is empty")
     if args.p_values and (args.p is not None or args.p_regime is not None):
-        flag = "--p" if args.p is not None else "--p-regime"
-        raise ValueError(f"{flag} cannot be given with --p-values, which sets the density")
-    if args.p_values and not grid:
-        raise ValueError("--p-values is empty")
+        base = "--p" if args.p is not None else "--p-regime"
+        raise ValueError(f"{base} cannot be given with --p-values, which sets the density")
     cfg = _config_from_args(args, swept_p=grid[0] if args.p_values else None)
     if args.d_values:
         table = harness.bias_sweep(cfg, grid)

@@ -355,6 +355,13 @@ def _sweep_row(report: ExperimentReport) -> dict:
     }
 
 
+def _validated(configs: list[ExperimentConfig]) -> list[ExperimentConfig]:
+    """A sweep's row configs, every one validated before any row runs."""
+    for cfg in configs:
+        cfg.validate()
+    return configs
+
+
 def bias_sweep(cfg: ExperimentConfig, d_values) -> Table:
     """Unanimity probability as a function of the initial opinion sum d.
 
@@ -369,17 +376,13 @@ def bias_sweep(cfg: ExperimentConfig, d_values) -> Table:
         if given:
             raise ValueError(f"the d sweep would replace the config's {name}: "
                              "each row runs the fixed_discrepancy model with no census")
-    d_values = [int(d) for d in d_values]
-    for d in d_values:
-        if (cfg.n + d) % 2 != 0:
-            raise ValueError(f"d={d} has the wrong parity for n={cfg.n}")
     rows = []
-    for d in d_values:
-        sub = replace(cfg, model=OpinionModel("fixed_discrepancy", d=d))
+    for sub in _validated([replace(cfg, model=OpinionModel("fixed_discrepancy", d=int(d)))
+                           for d in d_values]):
         report = run_experiment(sub)
         rows.append(
             {
-                "d": d,
+                "d": sub.model.d,
                 **_sweep_row(report),
                 "positive_sign_fraction": (
                     sum(1 for t in report.trials if t.outcome == "unanimous" and t.sign > 0)
@@ -397,9 +400,8 @@ def density_sweep(cfg: ExperimentConfig, p_values) -> Table:
     replaced."""
     if cfg.p_spec is not None:
         raise ValueError("the p sweep would replace the config's p_spec: each row runs at one p")
-    p_values = [float(p) for p in p_values]
-    rows = tuple({"p": p, **_sweep_row(run_experiment(replace(cfg, p=p)))}
-                 for p in p_values)
+    subs = _validated([replace(cfg, p=float(p)) for p in p_values])
+    rows = tuple({"p": sub.p, **_sweep_row(run_experiment(sub))} for sub in subs)
     return Table(("p", *_SWEEP_COLUMNS), rows)
 
 

@@ -32,8 +32,8 @@ class OpinionModel:
 
     d is the opinion sum for "fixed_discrepancy" (parity must match n);
     c scales the swing size for "morning_evening"; each must stay zero for
-    the other kinds.  A model carries no seed: :func:`sample_initial` takes
-    one, and the harness derives one per trial.
+    the other kinds.  A model carries no seed: the harness derives one per
+    trial.
     """
 
     kind: str = "uniform"
@@ -52,9 +52,9 @@ class OpinionModel:
             raise ValueError("opinion sum d applies only to the fixed_discrepancy model")
         if self.kind == "fixed_discrepancy":
             if abs(self.d) > n:
-                raise ValueError("opinion sum magnitude cannot exceed n")
+                raise ValueError(f"opinion sum d={self.d} exceeds n={n} in magnitude")
             if (n + self.d) % 2 != 0:
-                raise ValueError("opinion sum parity must match n")
+                raise ValueError(f"opinion sum d={self.d} has the wrong parity for n={n}")
         if self.kind == "morning_evening":
             if swing_count(n, self.c) > n - (n + 1) // 2:
                 raise ValueError("swing larger than the available -1 vertices")
@@ -115,21 +115,6 @@ def apply_swing(r0: OpinionVector, c: float, seed) -> tuple[OpinionVector, np.nd
     return OpinionVector(signs), swing
 
 
-def sample_initial(model: OpinionModel, n: int, seed) -> tuple[OpinionVector, np.ndarray | None]:
-    """Draw a day-zero state for ``model``; for "morning_evening" the swing
-    set is returned alongside (None for the other kinds)."""
-    model.validate(n)
-    if model.kind == "uniform":
-        return sample_uniform(n, seed), None
-    if model.kind == "fixed_discrepancy":
-        return sample_fixed_discrepancy(n, model.d, seed), None
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    morning_seed, swing_seed = ss.spawn(2)
-    r0 = sample_morning(n, morning_seed)
-    swung, swing = apply_swing(r0, model.c, swing_seed)
-    return swung, swing
-
-
 @dataclass(frozen=True)
 class CensusReport:
     """Day-one census counts; excess = almost_positive - ceil(n/2).
@@ -187,15 +172,3 @@ def census(g: Graph, r0: OpinionVector, swing_set, gamma: float, p: float) -> Ce
         reference=((r0.signs(), sums0), (r1.signs(), sums1)),
     )
 
-
-def day2_bias_experiment(g: Graph, c: float, seed) -> int:
-    """Bias after two days started from a swung balanced state.
-
-    Draws a fresh balanced state and swing from ``seed`` as
-    :func:`sample_initial` does, applies two majority steps, and returns
-    the final opinion sum.
-    """
-    swung, _ = sample_initial(OpinionModel("morning_evening", c=c), g.n, seed)
-    s1 = majority_step(g, swung)
-    s2 = majority_step(g, s1)
-    return s2.bias()

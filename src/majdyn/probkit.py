@@ -289,7 +289,7 @@ class SweepResult:
     passed: bool
 
 
-def _sweep_chernoff(rng) -> SweepResult:
+def _sweep_chernoff() -> SweepResult:
     worst = -math.inf
     cases = 0
     for n in (10, 100, 1000, 5000):
@@ -309,7 +309,7 @@ def _sweep_chernoff(rng) -> SweepResult:
     return SweepResult("chernoff-tails", cases, worst, 0.0, worst <= 1e-12)
 
 
-def _sweep_psi_contraction(rng) -> SweepResult:
+def _sweep_psi_contraction() -> SweepResult:
     grid = np.linspace(-6.0, 6.0, 100)
     x, y = np.meshgrid(grid, grid)
     excess = np.abs(psi(x) - psi(y)) - np.abs(x - y)
@@ -317,7 +317,7 @@ def _sweep_psi_contraction(rng) -> SweepResult:
     return SweepResult("psi-contraction", x.size, worst, 0.0, worst <= 1e-12)
 
 
-def _sweep_psi_pair_bound(rng) -> SweepResult:
+def _sweep_psi_pair_bound() -> SweepResult:
     worst = math.inf
     cases = 0
     for c in (1.0, 2.0, 3.0):
@@ -386,7 +386,7 @@ def _sweep_four_rv(rng, cases: int, bound: float) -> SweepResult:
     return SweepResult("four-rv", cases, worst, bound, worst <= bound)
 
 
-def _sweep_berry_esseen(rng) -> SweepResult:
+def _sweep_berry_esseen() -> SweepResult:
     chain = (16, 64, 256, 1024, 4096)
     worst = 0.0
     ok = True
@@ -419,12 +419,12 @@ def run_lemma_sweeps(max_cases: int = 200, seed: int = 0) -> list[SweepResult]:
         raise ValueError("max_cases must be at least 1")
     rng = np.random.default_rng(seed)
     return [
-        _sweep_chernoff(rng),
-        _sweep_psi_contraction(rng),
-        _sweep_psi_pair_bound(rng),
+        _sweep_chernoff(),
+        _sweep_psi_contraction(),
+        _sweep_psi_pair_bound(),
         _sweep_binom_shift(rng, max_cases, SHIFT_RATIO_BOUND),
         _sweep_equality_prob(rng, max_cases, EQUALITY_RATIO_BAND),
         _sweep_coupling(rng, max_cases),
         _sweep_four_rv(rng, max_cases, FOUR_RV_RATIO_BOUND),
-        _sweep_berry_esseen(rng),
+        _sweep_berry_esseen(),
     ]

@@ -6,7 +6,7 @@ import itertools
 
 import numpy as np
 
-from majdyn import from_edges
+from majdyn import apply_swing, from_edges, sample_morning
 
 
 def path_graph(n):
@@ -27,6 +27,14 @@ def star_graph(leaves):
 
 def empty_graph(n):
     return from_edges(n, [])
+
+
+def swung_start(n, c, seed):
+    """A balanced start with a round(c*sqrt(n)) swing: the morning state
+    draws from the first child of ``SeedSequence(seed)``, the swing from
+    the second."""
+    morning_seed, swing_seed = np.random.SeedSequence(seed).spawn(2)
+    return apply_swing(sample_morning(n, morning_seed), c, swing_seed)[0]
 
 
 class CountingAdjacency:

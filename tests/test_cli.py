@@ -260,6 +260,24 @@ class TestSweep:
         assert [r["p"] for r in parse_csv(out)] == ["0.05", "0.2"]
         assert out == flags
 
+    @pytest.mark.parametrize("flags, flag", [
+        (["--p", "0.1", "--d-values", ","], "--d-values"),
+        (["--p-values", " , "], "--p-values"),
+    ], ids=["d", "p"])
+    def test_empty_grid_exits_1(self, capsys, flags, flag):
+        code, out, err = run_cli(capsys, "sweep", "--n", "100", "--trials", "2", *flags)
+        assert code == 1 and out == ""
+        assert err == f"majdyn: error: {flag} is empty\n"
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--p", "0.1", "--d-values", "0,2,102"], "opinion sum d=102 exceeds n=100"),
+        (["--p-values", "0.05,2.0"], "resolved density 2.0 outside (0, 1]"),
+    ], ids=["d", "p"])
+    def test_a_bad_last_grid_value_exits_1_with_no_rows(self, capsys, flags, message):
+        code, out, err = run_cli(capsys, "sweep", "--n", "100", "--trials", "2", *flags)
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and message in err
+
     def test_requires_exactly_one_grid(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--n", "100", "--p", "0.1")
         assert code == 1

@@ -22,9 +22,9 @@ from conftest import (
     empty_graph,
     path_graph,
     star_graph,
+    swung_start,
 )
 from majdyn import (
-    OpinionModel,
     OpinionVector,
     from_edges,
     majority_step,
@@ -34,7 +34,6 @@ from majdyn import (
     run,
     sample_fixed_discrepancy,
     sample_gnp,
-    sample_initial,
     sample_uniform,
 )
 from majdyn.dynamics import _neighbor_sums
@@ -505,7 +504,7 @@ class TestKnownSums:
     @pytest.mark.parametrize("n", [160, 1007])
     def test_both_sides_of_the_crossover(self, n):
         g = sample_gnp(n, 12.0 / n, n)
-        s = sample_initial(OpinionModel("morning_evening"), n, 1)[0]
+        s = swung_start(n, 0.0, 1)
         for k, from_known in ((0, True), (n // 16, True), (n // 16 + 1, False)):
             known = flipped(s, k, k)
             sums = neighbor_sums(g, known)
@@ -576,7 +575,7 @@ def test_run_digest_at_1e5():
         sample_uniform(n, 1),
         sample_fixed_discrepancy(n, n - 2 * 3000, 2),
         sample_fixed_discrepancy(n, -(n - 2 * (n // 16)), 3),
-        sample_initial(OpinionModel("morning_evening", c=1.0), n, 4)[0],
+        swung_start(n, 1.0, 4),
     ]
     rows = [trajectory_rows(run(g, s, 64)) for s in starts]
     assert [r[0][-1][2] for r in rows] == [0, n, 0, n]

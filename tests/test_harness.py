@@ -496,6 +496,27 @@ class TestDensitySweep:
             density_sweep(cfg, [0.1, 0.2])
 
 
+@pytest.mark.parametrize("sweep, grid, message", [
+    (bias_sweep, [0, 2, 3], "opinion sum d=3 has the wrong parity for n=120"),
+    (bias_sweep, [0, 2, 122], "opinion sum d=122 exceeds n=120 in magnitude"),
+    (density_sweep, [0.05, 0.2, 2.0], "resolved density 2.0 outside"),
+], ids=["d-parity", "d-magnitude", "p-range"])
+def test_sweeps_check_every_row_before_the_first_runs(monkeypatch, sweep, grid, message):
+    runs = []
+
+    def counted(cfg, run_experiment=harness.run_experiment):
+        runs.append(cfg)
+        return run_experiment(cfg)
+
+    monkeypatch.setattr(harness, "run_experiment", counted)
+    sweep(small_cfg(trials=2), grid[:-1])
+    assert len(runs) == len(grid) - 1
+    runs.clear()
+    with pytest.raises(ValueError, match=message):
+        sweep(small_cfg(trials=2), grid)
+    assert runs == []
+
+
 def _other_value(value, hint):
     """A value of the annotation ``hint`` that differs from ``value``."""
     kind = next(t for t in typing.get_args(hint) or (hint,) if t is not type(None))

@@ -15,20 +15,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import complete_graph, empty_graph, path_graph, star_graph
+from conftest import complete_graph, empty_graph, path_graph, star_graph, swung_start
 from majdyn import (
     OpinionModel,
     OpinionVector,
     apply_swing,
     census,
-    day2_bias_experiment,
     majority_step,
     neighbor_sums,
     psi,
     run,
     sample_fixed_discrepancy,
     sample_gnp,
-    sample_initial,
     sample_morning,
     sample_uniform,
     swing_count,
@@ -134,24 +132,23 @@ class TestApplySwing:
 
 
 class TestSampleInitial:
+    """Each model's draw through the primitives the harness's trial calls."""
+
     def test_uniform_kind(self):
-        s, swing = sample_initial(OpinionModel("uniform"), 50, 1)
-        assert swing is None
-        assert s.n == 50
+        s = sample_uniform(50, 1)
+        assert s.n == 50 and set(s.signs()) <= {-1, 1}
 
     def test_fixed_kind(self):
-        s, swing = sample_initial(OpinionModel("fixed_discrepancy", d=4), 50, 1)
-        assert swing is None
-        assert s.bias() == 4
+        assert sample_fixed_discrepancy(50, 4, 1).bias() == 4
 
     def test_morning_kind(self):
-        s, swing = sample_initial(OpinionModel("morning_evening", c=1.0), 100, 1)
-        assert swing is not None and swing.size == 10
+        s, swing = apply_swing(sample_morning(100, 1), 1.0, 2)
+        assert swing.size == 10
         assert s.bias() == 20  # ceil(n/2) positives plus 10 flips
 
     def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError):
-            sample_initial(OpinionModel("coin"), 10, 0)
+        with pytest.raises(ValueError, match="unknown opinion model kind 'coin'"):
+            OpinionModel("coin").validate(10)
 
     @pytest.mark.parametrize("model, applies_to", [
         (OpinionModel("uniform", c=1.0), "morning_evening"),
@@ -309,22 +306,25 @@ class TestCensus:
             census(g, r0, [], gamma=gamma, p=0.5)
 
 
+def day2_bias(g, c, seed):
+    """The opinion sum two majority days after a swung balanced start."""
+    return majority_step(g, majority_step(g, swung_start(g.n, c, seed))).bias()
+
+
 class TestDay2Bias:
     def test_complete_graph_goes_unanimous(self):
         # bias 20 at day 0 makes every neighbor sum positive: all +1 by day 1
-        assert day2_bias_experiment(complete_graph(100), 1.0, 7) == 100
+        assert day2_bias(complete_graph(100), 1.0, 7) == 100
 
     def test_empty_graph_keeps_swing_bias(self):
-        assert day2_bias_experiment(empty_graph(100), 1.0, 7) == 20
+        assert day2_bias(empty_graph(100), 1.0, 7) == 20
 
     def test_gnp_amplification_pilot(self):
         # pilot-pinned: two days from a swung balanced start at n=1e4,
         # p=0.02 lands far beyond the swing alone
         n, p, c = 10**4, 0.02, 1.0
         floor = 0.1 * p * n**1.5
-        biases = [
-            day2_bias_experiment(sample_gnp(n, p, 1000 + t), c, 2000 + t) for t in range(50)
-        ]
+        biases = [day2_bias(sample_gnp(n, p, 1000 + t), c, 2000 + t) for t in range(50)]
         positive = sum(1 for b in biases if b > 0)
         assert positive >= 45
         assert float(np.median(biases)) >= floor
