@@ -120,24 +120,21 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _config_from_args(args, model_kind: str | None = None,
-                      swept_p: float | None = None) -> harness.ExperimentConfig:
-    """The config file, then the flags over it; ``model_kind`` switches the
-    model's kind, keeping its parameters, before the config is validated.
-    ``swept_p``, a p-sweep's first density, stands in for the density, which
-    the config file then must not set."""
+def _config_from_args(args, model_kind: str | None = None) -> harness.ExperimentConfig:
+    """The config the user wrote: the config file, then the flags over it.
+
+    Nothing is validated or replaced here; each harness entry point checks
+    the configs it runs and rejects a setting its command would replace.
+    ``model_kind`` is the command's default kind: a model still of the
+    default kind ``uniform`` that no ``--model`` flag named takes it,
+    keeping its parameters.  An explicit ``"kind": "uniform"`` in a config
+    file reads as that default too, the one case not told apart."""
     if args.config:
         cfg = harness.load_config(args.config)
     else:
         if args.n is None:
             raise ValueError("--n is required (or provide --config)")
         cfg = harness.ExperimentConfig(n=args.n, p=args.p)
-    if swept_p is not None:
-        for key in ("p", "p_spec"):
-            if getattr(cfg, key) is not None:
-                raise ValueError(f"config key {key!r} cannot be given with --p-values, "
-                                 "which sets the density")
-        cfg = replace(cfg, p=swept_p)
     if args.p is not None and args.p_regime is not None:
         raise ValueError("--p and --p-regime are mutually exclusive")
     if args.p_coefficient is not None and args.p_regime is None:
@@ -155,18 +152,16 @@ def _config_from_args(args, model_kind: str | None = None,
         coeff = 1.0 if args.p_coefficient is None else args.p_coefficient
         maker = harness.PSpec.lower if args.p_regime == "lower" else harness.PSpec.upper
         overrides.update(p=None, p_spec=maker(coeff))
-    # --model, or else --d, starts a fresh model of its kind
+    # --model, or else --d, starts a fresh model of its kind; else a model of
+    # the default kind takes the command's
     model = cfg.model
     if args.model is not None:
         model = OpinionModel(_MODEL_NAMES[args.model])
     elif args.d is not None:
         model = OpinionModel("fixed_discrepancy")
-    model = replace(model, **given(model))
-    if model_kind is not None:
+    elif model_kind is not None and model.kind == "uniform":
         model = replace(model, kind=model_kind)
-    cfg = replace(cfg, model=model, **overrides)
-    cfg.validate()
-    return cfg
+    return replace(cfg, model=replace(model, **given(model)), **overrides)
 
 
 def _cmd_run(args) -> int:
@@ -200,21 +195,15 @@ def _cmd_sweep(args) -> int:
     grid = [_number(flag, v, kind) for v in text.split(",") if v.strip()]
     if not grid:
         raise ValueError(f"{flag} is empty")
-    if args.p_values and (args.p is not None or args.p_regime is not None):
-        base = "--p" if args.p is not None else "--p-regime"
-        raise ValueError(f"{base} cannot be given with --p-values, which sets the density")
-    cfg = _config_from_args(args, swept_p=grid[0] if args.p_values else None)
     if args.d_values:
-        table = harness.bias_sweep(cfg, grid)
+        table = harness.bias_sweep(_config_from_args(args, model_kind="fixed_discrepancy"), grid)
     else:
-        table = harness.density_sweep(cfg, grid)
+        table = harness.density_sweep(_config_from_args(args), grid)
     harness.write_table(table, args.output or sys.stdout, args.format)
     return 0
 
 
 def _cmd_census(args) -> int:
-    if args.model not in (None, "morning"):
-        raise ValueError(f"--model {args.model}: the census runs only the morning model")
     table = harness.census_experiment(_config_from_args(args, model_kind="morning_evening"))
     harness.write_table(table, args.output or sys.stdout, args.format)
     return 0

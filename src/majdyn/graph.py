@@ -74,6 +74,14 @@ _HEADER = struct.Struct("<8sIQQ")
 _BLOCK_BYTES = 1 << 23
 # skip gaps drawn, summed and cut into rows at a time by the sampler
 _GAP_BLOCK = 1 << 18
+# vertex ids are int32, so a graph has at most 2**31 vertices
+MAX_VERTICES = 2**31
+
+
+def check_vertex_count(n: int) -> None:
+    """Reject an n outside ``1..MAX_VERTICES`` before anything is allocated."""
+    if not 1 <= n <= MAX_VERTICES:
+        raise ValueError(f"n must lie in 1..2**31 for int32 vertex ids, got {n}")
 
 
 class Graph:
@@ -81,7 +89,7 @@ class Graph:
 
     Construction, unpickling included, checks that both arrays are 1-D,
     the offsets start at 0, never decrease and end at ``len(neighbors)``,
-    and every id lies in ``0..n-1``, all on the values as given, before
+    and every id lies in ``0..n-1`` with n <= 2**31, all on the values as given, before
     the offsets are cast to the index dtype (int32 below 2**31 neighbours)
     and the ids to int32, so no value wraps and the step never reads
     outside its arrays; :meth:`validate` checks the rest.
@@ -89,12 +97,11 @@ class Graph:
 
     def __init__(self, n: int, offsets, neighbors):
         self.n = int(n)
-        if self.n < 1:
-            raise ValueError("graph needs at least one vertex")
+        check_vertex_count(self.n)
         offsets, ids = _integers("offsets", offsets), _integers("neighbor ids", neighbors)
         # one pass for both ends, on the ids as given: a negative id reads as
-        # 2**bits - |id|; int32 holds ids below 2**31 only
-        if ids.size and ids.view(ids.dtype.str.replace("i", "u")).max() >= min(self.n, 2**31):
+        # 2**bits - |id|, and n <= 2**31 keeps every id within int32
+        if ids.size and ids.view(ids.dtype.str.replace("i", "u")).max() >= self.n:
             raise ValueError(f"neighbor id out of range for n={self.n}")
         # offsets too are checked as given, so every one lies in 0..len(ids)
         # before the cast to the index dtype, and none wraps in 32 bits
@@ -323,8 +330,7 @@ def sample_gnp(n: int, p: float, seed) -> Graph:
     The graph is that of one ``rng.geometric(p)`` stream; a passed-in
     Generator is left after the block of gaps that crosses the last pair.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    check_vertex_count(n)
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     total = n * (n - 1) // 2

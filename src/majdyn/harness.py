@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import run
-from .graph import Graph, estimate_jumbledness, sample_gnp
+from .graph import Graph, check_vertex_count, estimate_jumbledness, sample_gnp
 from .opinions import (
     OpinionModel,
     apply_swing,
@@ -53,7 +53,10 @@ class PSpec:
     def resolve(self, n: int) -> float:
         if n < 2:
             raise ValueError("regime densities need n >= 2")
-        return self.coefficient * n ** self.exponent * math.log(n) ** self.log_power
+        try:
+            return self.coefficient * n ** self.exponent * math.log(n) ** self.log_power
+        except OverflowError:
+            raise ValueError(f"p_spec {self} overflows a float at n={n}") from None
 
     @classmethod
     def lower(cls, coefficient: float = 1.0) -> "PSpec":
@@ -92,8 +95,7 @@ class ExperimentConfig:
         return value
 
     def validate(self) -> None:
-        if self.n < 1:
-            raise ValueError("n must be at least 1")
+        check_vertex_count(self.n)
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if self.day_cap < 1:
@@ -366,12 +368,13 @@ def bias_sweep(cfg: ExperimentConfig, d_values) -> Table:
     """Unanimity probability as a function of the initial opinion sum d.
 
     Every d reuses the same master seed, so graphs are shared across the
-    sweep and rows differ only through the initial states.  A gamma, a
-    morning_evening model or a nonzero c or d is rejected, never replaced.
+    sweep and rows differ only through the initial states.  Each row runs
+    the fixed_discrepancy model at its d with no census, so a gamma, another
+    model kind or a nonzero c or d is rejected, never replaced.
     """
     m = cfg.model
     for name, given in (("gamma", cfg.gamma is not None),
-                        ("model.kind", m.kind == "morning_evening"),
+                        ("model.kind", m.kind != "fixed_discrepancy"),
                         ("model.c", m.c != 0), ("model.d", m.d != 0)):
         if given:
             raise ValueError(f"the d sweep would replace the config's {name}: "
@@ -395,11 +398,11 @@ def bias_sweep(cfg: ExperimentConfig, d_values) -> Table:
 
 def density_sweep(cfg: ExperimentConfig, p_values) -> Table:
     """Unanimity probability as a function of the density p, with the
-    config's model; every p reuses the same master seed.  Each p replaces
-    the config's p, which validation needs; a p_spec is rejected, never
-    replaced."""
-    if cfg.p_spec is not None:
-        raise ValueError("the p sweep would replace the config's p_spec: each row runs at one p")
+    config's model; every p reuses the same master seed.  Each row runs at
+    its p, so a config that sets p or p_spec is rejected, never replaced."""
+    for key in ("p", "p_spec"):
+        if getattr(cfg, key) is not None:
+            raise ValueError(f"the p sweep would replace the config's {key}: each row runs at one p")
     subs = _validated([replace(cfg, p=float(p)) for p in p_values])
     rows = tuple({"p": sub.p, **_sweep_row(run_experiment(sub))} for sub in subs)
     return Table(("p", *_SWEEP_COLUMNS), rows)
@@ -408,6 +411,7 @@ def density_sweep(cfg: ExperimentConfig, p_values) -> Table:
 def auto_bias_floor(cfg: ExperimentConfig) -> int:
     """Contraction floor ceil(8 * beta_hat / (p * sqrt(0.9))) from a sampled
     jumbledness witness over 100 subset pairs on one pilot graph."""
+    cfg.validate()
     p = cfg.resolved_p()
     g = sample_gnp(cfg.n, p, _trial_seed_sequence(cfg.master_seed, cfg.trials + 1))
     est = estimate_jumbledness(g, p, pairs=100, seed=cfg.master_seed)

@@ -177,6 +177,18 @@ class TestConfigFile:
         assert out == "" and list(tmp_path.iterdir()) == []
         assert len(err.splitlines()) == 1 and message in err
 
+    @pytest.mark.parametrize("p_spec", [
+        {"coefficient": 1.0, "exponent": 400.0, "log_power": 0.0},
+        {"coefficient": 1.0, "exponent": 0.0, "log_power": 1e308},
+    ], ids=["exponent", "log_power"])
+    def test_overflowing_density_formula_exits_1(self, capsys, tmp_path, p_spec):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"n": 100, "trials": 2, "p_spec": p_spec}))
+        code, out, err = run_cli(capsys, "run", "--config", str(path))
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("majdyn: error: p_spec ") and "overflows a float at n=100" in err
+
     def test_missing_config_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "run", "--config", str(tmp_path / "nope.json"))
         assert code == 1
@@ -221,22 +233,24 @@ class TestSweep:
         (["--d-values", "0,2", "--model", "morning", "--c", "1", "--gamma", "0.1"], "gamma"),
         (["--d-values", "0,2", "--model", "morning", "--c", "1"], "model.kind"),
         (["--d-values", "0,2", "--d", "4"], "model.d"),
-    ], ids=["census", "morning", "d"])
+        # a --model flag is kept, so only an unnamed model takes the sweep's kind
+        (["--d-values", "0,2", "--model", "uniform"], "model.kind"),
+    ], ids=["census", "morning", "d", "uniform"])
     def test_d_grid_rejects_a_setting_it_would_replace(self, capsys, flags, name):
         code, out, err = run_cli(capsys, "sweep", "--n", "200", "--p", "0.1", "--trials", "2",
                                  *flags)
         assert code == 1 and out == ""
         assert len(err.splitlines()) == 1 and f"would replace the config's {name}:" in err
 
-    @pytest.mark.parametrize("flags, flag", [
-        (["--n", "100", "--p", "0.05"], "--p"),
-        (["--n", "100", "--p-regime", "lower"], "--p-regime"),
+    @pytest.mark.parametrize("flags, key", [
+        (["--n", "100", "--p", "0.05"], "p"),
+        (["--n", "100", "--p-regime", "lower"], "p_spec"),
     ], ids=["p", "p-regime"])
-    def test_p_grid_rejects_a_base_density_flag(self, capsys, flags, flag):
+    def test_p_grid_rejects_a_base_density_flag(self, capsys, flags, key):
         code, out, err = run_cli(capsys, "sweep", *flags, "--trials", "2", "--p-values", "0.1,0.2")
         assert code == 1 and out == ""
-        assert err == (f"majdyn: error: {flag} cannot be given with --p-values, "
-                       "which sets the density\n")
+        assert err == (f"majdyn: error: the p sweep would replace the config's {key}: "
+                       "each row runs at one p\n")
 
     @pytest.mark.parametrize("density, key", [
         ({"p": 0.05}, "p"),
@@ -247,8 +261,8 @@ class TestSweep:
         path.write_text(json.dumps({"n": 200, "trials": 2, **density}))
         code, out, err = run_cli(capsys, "sweep", "--config", str(path), "--p-values", "0.1,0.2")
         assert code == 1 and out == ""
-        assert err == (f"majdyn: error: config key {key!r} cannot be given with --p-values, "
-                       "which sets the density\n")
+        assert err == (f"majdyn: error: the p sweep would replace the config's {key}: "
+                       "each row runs at one p\n")
 
     def test_p_grid_runs_a_config_without_density(self, capsys, tmp_path):
         path = tmp_path / "cfg.json"
@@ -304,7 +318,18 @@ class TestExperimentCommands:
         code, out, err = run_cli(capsys, "census", "--n", "200", "--p", "0.1", "--gamma", "0.1",
                                  "--c", "1", "--trials", "2", "--model", model)
         assert code == 1 and out == ""
-        assert err == f"majdyn: error: --model {model}: the census runs only the morning model\n"
+        assert err == ("majdyn: error: census threshold gamma applies only to the "
+                       "morning_evening model\n")
+
+    def test_census_rejects_a_config_model_of_another_kind(self, capsys, tmp_path):
+        # only a model of the default kind takes the census's kind
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"n": 200, "p": 0.1, "trials": 2, "gamma": 0.1,
+                                    "model": {"kind": "fixed_discrepancy"}}))
+        code, out, err = run_cli(capsys, "census", "--config", str(path))
+        assert code == 1 and out == ""
+        assert err == ("majdyn: error: census threshold gamma applies only to the "
+                       "morning_evening model\n")
 
     def test_census_takes_the_morning_model_flag(self, capsys):
         argv = [*TABLE_COMMANDS["census"], "-q"]
@@ -354,6 +379,14 @@ class TestExperimentCommands:
         assert g.n == 500
         assert f"edges={g.edge_count}" in err
         g.validate()
+
+    def test_gen_graph_rejects_more_vertices_than_int32_ids(self, capsys, tmp_path):
+        # rejected before the sampler allocates anything
+        path = tmp_path / "g.bin"
+        code, out, err = run_cli(capsys, "gen-graph", "--n", str(2**31 + 1), "--p", "0.1",
+                                 "-o", str(path))
+        assert code == 1 and out == "" and not path.exists()
+        assert len(err.splitlines()) == 1 and "int32 vertex ids" in err
 
     def test_gen_graph_requires_output(self, capsys):
         code, _, _ = run_cli(capsys, "gen-graph", "--n", "10", "--p", "0.1")

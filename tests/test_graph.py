@@ -70,6 +70,13 @@ class TestSampleGnp:
         with pytest.raises(ValueError):
             sample_gnp(10, 1.5, 0)
 
+    def test_n_is_held_to_int32_vertex_ids(self):
+        # each call fails on n alone, before any array is allocated
+        assert graph_module.MAX_VERTICES == 2**31 == np.iinfo(np.int32).max + 1
+        for make in (lambda n: sample_gnp(n, 0.1, 0), lambda n: Graph(n, [], [])):
+            with pytest.raises(ValueError, match="int32 vertex ids, got 2147483649"):
+                make(2**31 + 1)
+
     def test_deterministic_per_seed(self):
         a = sample_gnp(500, 0.02, 99)
         b = sample_gnp(500, 0.02, 99)

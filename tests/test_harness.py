@@ -72,6 +72,19 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(n=10**6, p_spec=PSpec(5.0, 0.0)).validate()
 
+    @pytest.mark.parametrize("spec", [PSpec(1.0, 400.0, 0.0), PSpec(1.0, 0.0, 1e308)],
+                             ids=["exponent", "log_power"])
+    def test_overflowing_density_formula_names_p_spec(self, spec):
+        cfg = ExperimentConfig(n=100, p_spec=spec)
+        with pytest.raises(ValueError, match="^p_spec .* overflows a float at n=100$"):
+            cfg.validate()
+
+    def test_n_is_held_to_int32_vertex_ids(self):
+        # validation allocates nothing, so the limit itself can be tried
+        ExperimentConfig(n=2**31, p=1e-12).validate()
+        with pytest.raises(ValueError, match="int32 vertex ids, got 2147483649"):
+            ExperimentConfig(n=2**31 + 1, p=1e-12).validate()
+
     def test_validate_catches_bad_fields(self):
         with pytest.raises(ValueError):
             small_cfg(trials=0).validate()
@@ -436,9 +449,14 @@ class TestContraction:
             assert row["minority_share_next"] == minority[1] / 300
 
 
+def fixed_cfg(**kw):
+    """A bias sweep's base config: the fixed_discrepancy model at d = 0."""
+    return small_cfg(model=OpinionModel("fixed_discrepancy"), **kw)
+
+
 class TestBiasSweep:
     def test_full_discrepancy_always_unanimous_day_zero(self):
-        cfg = small_cfg(trials=5)
+        cfg = fixed_cfg(trials=5)
         table = bias_sweep(cfg, [120])
         row = table.rows[0]
         assert row["unanimity_fraction"] == 1.0
@@ -447,25 +465,29 @@ class TestBiasSweep:
 
     def test_rejects_parity_mismatch(self):
         with pytest.raises(ValueError):
-            bias_sweep(small_cfg(), [3])
+            bias_sweep(fixed_cfg(), [3])
 
     @pytest.mark.parametrize("cfg, name", [
         (small_cfg(model=OpinionModel("morning_evening", c=1.0), gamma=0.1), "gamma"),
         (small_cfg(model=OpinionModel("morning_evening")), "model.kind"),
-        (small_cfg(model=OpinionModel("uniform", c=1.0)), "model.c"),
+        (small_cfg(model=OpinionModel("uniform")), "model.kind"),
+        (small_cfg(model=OpinionModel("fixed_discrepancy", c=1.0)), "model.c"),
         (small_cfg(model=OpinionModel("fixed_discrepancy", d=4)), "model.d"),
-    ], ids=["gamma", "morning-kind", "c", "d"])
+    ], ids=["gamma", "morning-kind", "uniform-kind", "c", "d"])
     def test_rejects_a_setting_it_would_replace(self, cfg, name):
         with pytest.raises(ValueError, match=f"would replace the config's {name}:"):
             bias_sweep(cfg, [0, 2])
 
     def test_keeps_a_fixed_model_at_d_zero(self):
-        cfg = small_cfg(trials=3)
-        fixed = replace(cfg, model=OpinionModel("fixed_discrepancy"))
-        assert bias_sweep(fixed, [0, 2]) == bias_sweep(cfg, [0, 2])
+        cfg = fixed_cfg(trials=3)
+        table = bias_sweep(cfg, [0, 2])
+        for d, row in zip([0, 2], table.rows):
+            agg = run_experiment(replace(cfg, model=replace(cfg.model, d=d))).aggregates
+            assert (row["d"], row["unanimity_fraction"]) == (d, agg["unanimity_fraction"])
 
     def test_monotone_trend_with_shared_graphs(self):
-        cfg = ExperimentConfig(n=500, p=0.05, trials=30, master_seed=17)
+        cfg = ExperimentConfig(n=500, p=0.05, trials=30, master_seed=17,
+                               model=OpinionModel("fixed_discrepancy"))
         table = bias_sweep(cfg, [0, 10, 60])
         fracs = [row["positive_sign_fraction"] for row in table.rows]
         assert fracs[0] <= fracs[1] <= fracs[2] or fracs[2] >= 0.9
@@ -473,9 +495,9 @@ class TestBiasSweep:
 
 class TestDensitySweep:
     @pytest.mark.parametrize("cfg", [
-        small_cfg(trials=4),
-        # the base p is replaced by each p; the model and gamma are kept
-        ExperimentConfig(n=101, p=0.1, trials=3, master_seed=5,
+        small_cfg(p=None, trials=4),
+        # each row runs at its p, with the config's model and gamma
+        ExperimentConfig(n=101, trials=3, master_seed=5,
                          model=OpinionModel("morning_evening", c=1.0), gamma=0.1),
     ], ids=["uniform", "census"])
     def test_rows_are_one_experiment_per_density(self, cfg):
@@ -495,13 +517,17 @@ class TestDensitySweep:
         with pytest.raises(ValueError, match="would replace the config's p_spec"):
             density_sweep(cfg, [0.1, 0.2])
 
+    def test_rejects_a_density_it_would_replace(self):
+        with pytest.raises(ValueError, match="would replace the config's p:"):
+            density_sweep(ExperimentConfig(n=200, p=0.05, trials=2), [0.1, 0.2])
 
-@pytest.mark.parametrize("sweep, grid, message", [
-    (bias_sweep, [0, 2, 3], "opinion sum d=3 has the wrong parity for n=120"),
-    (bias_sweep, [0, 2, 122], "opinion sum d=122 exceeds n=120 in magnitude"),
-    (density_sweep, [0.05, 0.2, 2.0], "resolved density 2.0 outside"),
+
+@pytest.mark.parametrize("sweep, base, grid, message", [
+    (bias_sweep, fixed_cfg(trials=2), [0, 2, 3], "opinion sum d=3 has the wrong parity for n=120"),
+    (bias_sweep, fixed_cfg(trials=2), [0, 2, 122], "opinion sum d=122 exceeds n=120 in magnitude"),
+    (density_sweep, small_cfg(p=None, trials=2), [0.05, 0.2, 2.0], "resolved density 2.0 outside"),
 ], ids=["d-parity", "d-magnitude", "p-range"])
-def test_sweeps_check_every_row_before_the_first_runs(monkeypatch, sweep, grid, message):
+def test_sweeps_check_every_row_before_the_first_runs(monkeypatch, sweep, base, grid, message):
     runs = []
 
     def counted(cfg, run_experiment=harness.run_experiment):
@@ -509,11 +535,11 @@ def test_sweeps_check_every_row_before_the_first_runs(monkeypatch, sweep, grid, 
         return run_experiment(cfg)
 
     monkeypatch.setattr(harness, "run_experiment", counted)
-    sweep(small_cfg(trials=2), grid[:-1])
+    sweep(base, grid[:-1])
     assert len(runs) == len(grid) - 1
     runs.clear()
     with pytest.raises(ValueError, match=message):
-        sweep(small_cfg(trials=2), grid)
+        sweep(base, grid)
     assert runs == []
 
 
@@ -581,8 +607,8 @@ class TestEveryFieldHasAReader:
     lambda: growth_ratio_experiment(small_cfg()),
     lambda: census_experiment(small_cfg(model=OpinionModel("morning_evening", c=1.0), gamma=0.1)),
     lambda: contraction_experiment(small_cfg(p=0.2), bias_floor=4),
-    lambda: bias_sweep(small_cfg(trials=3), [0, 20]),
-    lambda: density_sweep(small_cfg(trials=3), [0.05, 0.2]),
+    lambda: bias_sweep(fixed_cfg(trials=3), [0, 20]),
+    lambda: density_sweep(small_cfg(p=None, trials=3), [0.05, 0.2]),
 ], ids=["growth", "census", "contraction", "d-sweep", "p-sweep"])
 def test_every_row_has_exactly_the_table_columns(make_table):
     table = make_table()
