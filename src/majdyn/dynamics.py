@@ -10,24 +10,21 @@ Every trajectory eventually becomes periodic with period one or two, so
 :func:`run` only ever reports unanimity, a (possibly period-one) two-cycle,
 or hitting the day cap.
 
-The step takes its neighbour sums from the nearer of the caller's known
-state (the census hands :func:`run` its un-swung days 0 and 1) and the
-nearer unanimous state M, whose sums are M*deg, when that state differs
-from the signs on at most n/16 vertices, and from one sparse matvec of the
-signs otherwise.  A vertex u that differs from the chosen state holds
-signs[u] = -known[u], so it moves each neighbour's sum by 2*signs[u]: the
-sums are the known ones plus 2*(count over D+ - count over D-), where D+
-and D- are the differing vertices that now hold +1 and -1, and the counts
-are bincounts over their neighbour lists, reading about |D|*deg entries
-instead of the whole adjacency.  The matvec is taken in the adjacency's
-dtype, the narrowest signed integer holding -deg..deg for the graph's
-maximum degree (int8 at the paper's sparse densities).  Every way is exact
-integer arithmetic and gives the same sums; :func:`neighbor_sums` returns
-them as int32.  The delta way beats a matvec well past n/16 (best of 9,
-2-core Xeon, mean degree 20: 13.6 and 22.0 ms at n/16 and n/8 against a
-26.3 ms matvec at n=10^6, 1.20 and 1.73 against 2.03 ms at n=10^5); what
-n/16 bounds is its copy of the gathered rows, which grows with |D|*deg
-(7 MB at n/16, 19 MB at n/6 for n=10^6).
+The step takes its neighbour sums from the nearest state whose sums are
+known when it differs from the signs on at most n/8 vertices, and from one
+sparse matvec otherwise.  Known are the caller's states (a census hands
+:func:`run` its un-swung days 0 and 1), in :func:`run` the state two days
+back (next to a two-cycle, days two apart differ on few vertices though
+many flip each day), and the nearer unanimous state M, with sums M*deg.  A
+vertex u in the differing set D holds -known[u], so the sums are known +
+2 * (A[D].T @ signs[D]), a product over the rows of D.  Both products are
+taken in the adjacency's dtype, the narrowest signed integer holding
+-deg..deg for the graph's maximum degree (int8 at the paper's densities);
+every sum lies in that range, so sums taken modulo the dtype's width are
+exact.  :func:`neighbor_sums` returns them as int32.  Best of 21 on a
+2-core Xeon at mean degree 20, the delta way took 8.7, 12.5 and 21.3 ms at
+|D| = n/16, n/8 and n/4 against a 28.7 ms matvec at n=10^6, and 1.15, 1.68
+and 3.30 against 3.65 ms at n=10^5, copying 6.5 MB of rows per n/16 block.
 
 A unanimous state is fixed (every vertex sees M*deg, and an isolated one
 keeps M), so :func:`run` records its confirmation day without a step.
@@ -102,64 +99,44 @@ class OpinionVector:
         return f"OpinionVector(n={self.n}, bias={self.bias()})"
 
 
-# sums are taken from a known state while 16 * (vertices that differ) <= n,
-# which bounds the gathered rows (7 MB at n=10^6), not where a matvec wins
-_DELTA_SHARE = 16
+# sums are taken from a known state while 8 * (vertices that differ) <= n:
+# there the delta way costs under half a matvec, and at n/4 nearly a whole one
+_DELTA_SHARE = 8
 
 
-def _neighbor_sums(
-    g: Graph, signs: np.ndarray, positives: int | None = None, known=None
-) -> np.ndarray:
-    """Per-vertex sum of neighbor opinions, exact in any signed dtype.
+def _neighbor_sums(g: Graph, signs: np.ndarray, positives: int | None = None, known=()) -> np.ndarray:
+    """Per-vertex sum of neighbor opinions in the adjacency's dtype, or a
+    known pair's own sums when its state equals ``signs``.
 
-    ``positives`` is the +1 count of ``signs`` when the caller already has
-    it.  ``known`` is a (signs, sums) pair of a state whose neighbour sums
-    are known.  The sums come from the nearer of the caller's known state
-    (which wins a tie) and the nearer unanimous state, as int64, when that
-    state differs from ``signs`` on at most n/16 vertices; otherwise the
-    whole adjacency is multiplied in its degree-sized dtype (int8 at mean
-    degree 20).
+    ``positives`` is the +1 count of ``signs`` when the caller has it, and
+    ``known`` a sequence of (signs, sums) pairs, states with exact sums.
+    The sums come from the nearest of those and the nearer unanimous state
+    (the pairs win a tie) within n/8 vertices, else from the adjacency.
     """
-    n = g.n
+    n, a = g.n, g._adjacency
     if positives is None:
         positives = int(np.count_nonzero(signs > 0))
     # the nearer unanimous state M has sums M*deg and differs on the minority
     majority = 1 if 2 * positives > n else -1
     k, differ, base, sign = min(positives, n - positives), None, g.degrees, majority
-    if known is not None:
-        known_differ = signs != known[0]
+    for known_signs, known_sums in known:
+        known_differ = signs != known_signs
         known_k = int(np.count_nonzero(known_differ))
         if known_k == 0:
-            return known[1]
+            return known_sums
         if known_k <= k:
-            k, differ, base, sign = known_k, known_differ, known[1], 1
+            k, differ, base, sign = known_k, known_differ, known_sums, 1
     if _DELTA_SHARE * k > n:
-        a = g._adjacency
         return a @ signs.astype(a.dtype, copy=False)
+    # sign*base + 2*(A[D].T @ signs[D]), exact modulo the dtype's width; n/16
+    # rows a gather, as malloc's mmap threshold rises to the largest block freed
     changed = np.flatnonzero(signs != majority if differ is None else differ)
-    now_plus = signs[changed] > 0
-    return _shifted_sums(g, base, sign, changed[now_plus], changed[~now_plus])
-
-
-def _shifted_sums(g: Graph, base: np.ndarray, sign: int, plus, minus) -> np.ndarray:
-    """``sign * base + 2 * (c(plus) - c(minus))`` in int64, where c(S) counts
-    each vertex's neighbours in S: the sums of a state that holds +1 on
-    ``plus`` and -1 on ``minus`` and elsewhere equals the state whose sums
-    are ``sign * base``.  Built in place in bincount's counts."""
-    a = g._adjacency
-    if plus.size:
-        sums = np.bincount(a[plus].indices, minlength=g.n)
-        if minus.size:
-            sums -= np.bincount(a[minus].indices, minlength=g.n)
-        sums *= 2
-    else:
-        sums = np.bincount(a[minus].indices, minlength=g.n)
-        sums *= -2
-    if sign > 0:
-        sums += base
-    else:
-        sums -= base
-    return sums
+    sums = np.zeros(n, dtype=a.dtype)
+    for i in range(0, changed.size, n // 16 + 1):
+        rows = changed[i:i + n // 16 + 1]
+        sums += a[rows].T @ signs[rows].astype(a.dtype)
+    sums *= 2
+    return (np.add if sign > 0 else np.subtract)(sums, base, out=sums)
 
 
 def neighbor_sums(g: Graph, s: OpinionVector) -> np.ndarray:
@@ -257,8 +234,9 @@ def run(g: Graph, s0: OpinionVector, day_cap: int = 64, reference=None) -> Traje
 
     ``reference``, when given, is a sequence of (signs, sums) pairs, each a
     state and its exact neighbour sums, such as a census's un-swung days 0
-    and 1.  The step from day d - 1 sums from pair d - 1 while few vertices
-    differ from it; the trajectory is the same with or without them.
+    and 1.  The step from day d - 1 also sums from pair d - 1 and from day
+    d - 3, with the sums the run took for it, while few vertices differ
+    from them; the trajectory is the same with or without ``reference``.
     """
     if s0.n != g.n:
         raise ValueError("opinion vector does not match graph size")
@@ -269,7 +247,7 @@ def run(g: Graph, s0: OpinionVector, day_cap: int = 64, reference=None) -> Traje
         raise ValueError("reference state does not match graph size")
     n = g.n
     cur = s0.signs()
-    prev2: np.ndarray | None = None
+    back: list[tuple[np.ndarray, np.ndarray]] = []  # days d - 3 and d - 2 with their sums
     pos = int(np.count_nonzero(cur > 0))
     days = [DayRecord(bias=2 * pos - n, flips=0, positives=pos)]
     for d in range(1, day_cap + 1):
@@ -279,16 +257,16 @@ def run(g: Graph, s0: OpinionVector, day_cap: int = 64, reference=None) -> Traje
             days.append(DayRecord(bias=2 * pos - n, flips=0, positives=pos))
             outcome = Outcome("unanimous", day=d - 1, sign=1 if pos == n else -1)
             return Trajectory(tuple(days), outcome, day_cap)
-        known = reference[d - 1] if d <= len(reference) else None
-        nxt = _next_signs(_neighbor_sums(g, cur, pos, known), cur)
+        sums = _neighbor_sums(g, cur, pos, [*reference[d - 1:d], *back[:-1]])
+        nxt = _next_signs(sums, cur)
         flips = int(np.count_nonzero(nxt != cur))
         pos = int(np.count_nonzero(nxt > 0))
         days.append(DayRecord(bias=2 * pos - n, flips=flips, positives=pos))
         if flips == 0:  # a fixed point that is not unanimous
             return Trajectory(tuple(days), Outcome("period_two", day=d, period=1), day_cap)
         # equal states have equal +1 counts, so most days skip the compare
-        if prev2 is not None and pos == days[-3].positives and np.array_equal(nxt, prev2):
+        if back and pos == days[-3].positives and np.array_equal(nxt, back[-1][0]):
             return Trajectory(tuple(days), Outcome("period_two", day=d, period=2), day_cap)
-        prev2 = cur
+        back = [*back[-1:], (cur, sums)]
         cur = nxt
     return Trajectory(tuple(days), Outcome("day_cap", day=day_cap), day_cap)

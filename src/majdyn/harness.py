@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import statistics
 import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
@@ -547,41 +548,61 @@ def write_report(report: ExperimentReport, dest, fmt: str = "csv") -> list[Path]
     ``*.aggregates.csv`` file.  json: one document.  Returns the paths
     written, which is ``[]`` for a stream.  Output is bit-stable for a fixed
     report, and a stream receives the same bytes as the file at a path.
+    A failure leaves every file of an earlier report at a path as it was.
     """
     if fmt == "json":
-        return _write(dest, fmt, report_to_dict(report))
-    written = _write(dest, fmt, map(vars, report.trials), _CSV_COLUMNS)
-    if written:  # a path, so the aggregates go to its sibling file
+        return _write(fmt, [(dest, report_to_dict(report), ())])
+    parts = [(dest, map(vars, report.trials), _CSV_COLUMNS)]
+    if not hasattr(dest, "write"):  # a path, so the aggregates go to its sibling file
         rows = ({"key": key, "value": value} for key, value in report.aggregates.items())
-        written += _write(aggregates_path(dest), fmt, rows, ("key", "value"))
-    return written
+        parts.append((aggregates_path(dest), rows, ("key", "value")))
+    return _write(fmt, parts)
 
 
 def write_table(table: Table, dest, fmt: str = "csv") -> None:
     """Write ``table`` to ``dest``, a path or an open text stream: as CSV
     under its columns, or as the JSON document ``{"rows": [...]}``."""
-    _write(dest, fmt, {"rows": list(table.rows)} if fmt == "json" else table.rows, table.columns)
+    content = {"rows": list(table.rows)} if fmt == "json" else table.rows
+    _write(fmt, [(dest, content, table.columns)])
 
 
-def _write(dest, fmt: str, content, columns=()) -> list[Path]:
-    """``content`` as one JSON document, or its dict rows as CSV under
-    ``columns``, to a path or an open text stream; returns the path
-    written, as a one-item list, or ``[]`` for a stream."""
+def _write(fmt: str, parts) -> list[Path]:
+    """Each (dest, content, columns) part: ``content`` as one JSON document,
+    or its dict rows as CSV under ``columns``, to ``dest``, a path or an
+    open text stream.  Each path is written to a temporary sibling, and the
+    siblings replace their paths, the first path last, only once every part
+    is written.  Returns the paths written, ``[]`` for streams."""
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown report format {fmt!r}")
-    if not hasattr(dest, "write"):
-        try:
-            with open(dest, "w", encoding="utf-8", newline="") as fh:
-                _write(fh, fmt, content, columns)
-        except OSError as exc:
-            raise OSError(f"cannot write report to {dest}: {exc}") from exc
-        return [Path(dest)]
+    staged, path = [], None
+    try:
+        for dest, content, columns in parts:
+            if hasattr(dest, "write"):
+                _dump(dest, fmt, content, columns)
+                continue
+            path = Path(dest)
+            tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+            with open(tmp, "x", encoding="utf-8", newline="") as fh:  # "x" clobbers nothing
+                staged.append((tmp, path))
+                _dump(fh, fmt, content, columns)
+        for tmp, path in reversed(staged):
+            os.replace(tmp, path)
+    except OSError as exc:
+        if path is None:  # a stream's own failure, such as a closed pipe
+            raise
+        raise OSError(f"cannot write report to {path}: {exc}") from exc
+    finally:
+        for tmp, _ in staged:
+            tmp.unlink(missing_ok=True)
+    return [path for _, path in staged]
+
+
+def _dump(fh, fmt: str, content, columns) -> None:
     if fmt == "json":
-        json.dump(content, dest, indent=2, allow_nan=False)
-        dest.write("\n")
+        json.dump(content, fh, indent=2, allow_nan=False)
+        fh.write("\n")
     else:
-        writer = csv.writer(dest, lineterminator="\n")
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
         for row in content:
             writer.writerow(_csv_cell(row[col]) for col in columns)
-    return []

@@ -684,6 +684,15 @@ class TestFailurePaths:
         assert code == 2
         assert "no_dir" in err
 
+    def test_unwritable_aggregates_leave_no_report(self, capsys, tmp_path):
+        (tmp_path / "out.aggregates.csv").mkdir()
+        code, _, err = run_cli(
+            capsys, "run", "--n", "40", "--p", "0.1", "--trials", "2", "-o", str(tmp_path / "out.csv"),
+        )
+        assert code == 2
+        assert "out.aggregates.csv" in err
+        assert sorted(os.listdir(tmp_path)) == ["out.aggregates.csv"]
+
 
 def test_installed_entry_point():
     proc = subprocess.run(

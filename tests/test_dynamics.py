@@ -12,7 +12,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -143,6 +143,22 @@ class TestDegreeSizedSums:
         out = majority_step(g, s)
         assert out == majority_step_reference(g, s)
         assert out.signs()[0] == leaf_sign
+
+    @pytest.mark.parametrize("base_dtype", [None, np.int8, np.int32, np.int64])
+    @pytest.mark.parametrize("majority", [1, -1])
+    def test_a_doubled_delta_past_the_dtype_still_gives_exact_sums(self, base_dtype, majority):
+        # a 100-leaf star and 500 isolated vertices: 70 leaves differ from the
+        # unanimous state, within n/8, so the centre's delta of 2*70 wraps
+        # int8 and only the sum with its base, 100 - 140, fits
+        g = from_edges(601, [(0, i) for i in range(1, 101)])
+        signs = np.full(601, majority, dtype=np.int8)
+        signs[1:71] = -majority
+        unanimous = np.full(601, majority, dtype=np.int8)
+        known = [] if base_dtype is None else [(unanimous, (majority * g.degrees).astype(base_dtype))]
+        got, gathers, products = counted_sums(g, signs, known=known)
+        assert g._adjacency.dtype == np.int8 and gathers == [38, 32] and products == 0
+        assert np.array_equal(got, g._adjacency.astype(np.int64) @ signs.astype(np.int64))
+        assert got[0] == -40 * majority
 
 
 class TestMajorityStep:
@@ -313,21 +329,39 @@ def with_minority(n, k, majority, seed):
     return OpinionVector.from_signs(signs)
 
 
+def counted_sums(g, signs, positives=None, known=()):
+    """``_neighbor_sums``'s result, with the rows it gathered per gather and
+    the full products it took, read off a ``CountingAdjacency``."""
+    counter = CountingAdjacency(g._adjacency)
+    g.__dict__["_adjacency"] = counter
+    try:
+        sums = _neighbor_sums(g, signs, positives, known)
+    finally:
+        g.__dict__["_adjacency"] = counter.a
+    return sums, counter.gathers, counter.products
+
+
+def row_blocks(k, n):
+    """The gathers of a product over ``k`` differing rows: n/16 rows at a time."""
+    step = n // 16 + 1
+    return [min(step, k - i) for i in range(0, k, step)]
+
+
 def uses_minority_side(g, s):
-    # the minority-side sums come out of bincount as int64; the matvec
-    # keeps the adjacency's degree-sized dtype
-    return _neighbor_sums(g, s.signs()).dtype == np.int64
+    # the minority's rows gathered and no full product
+    _, gathers, products = counted_sums(g, s.signs())
+    return gathers == row_blocks(min(s.positives(), s.n - s.positives()), s.n) and products == 0
 
 
 class TestMinoritySideStep:
-    """The step sums from the minority's side once 16 * minority <= n, and
+    """The step sums from the minority's side once 8 * minority <= n, and
     from the whole adjacency otherwise; both must equal the reference."""
 
     @pytest.mark.parametrize("n", [160, 1000, 1007])
     @pytest.mark.parametrize("majority", [1, -1])
     def test_both_sides_of_the_crossover(self, n, majority):
         g = sample_gnp(n, 12.0 / n, n)
-        for k, minority_side in ((n // 16, True), (n // 16 + 1, False)):
+        for k, minority_side in ((n // 8, True), (n // 8 + 1, False)):
             s = with_minority(n, k, majority, k)
             assert uses_minority_side(g, s) == minority_side
             out = majority_step(g, s)
@@ -411,13 +445,14 @@ class TestMinoritySideStep:
             assert (traj.outcome.kind, traj.outcome.day, traj.outcome.sign) == ("unanimous", 0, sign)
 
 
-def reference_run(g, s0, day_cap):
-    """``run``'s contract replayed with the per-vertex reference step: the
-    list of (bias, flips, positives) per day and the outcome fields."""
+def reference_run(g, s0, day_cap, step=majority_step_reference):
+    """``run``'s contract replayed with ``step``, by default the per-vertex
+    reference step: the list of (bias, flips, positives) per day, the
+    outcome fields, and the states stepped through."""
     states = [s0]
     first_unanimous = 0 if s0.positives() in (0, g.n) else None
     for d in range(1, day_cap + 1):
-        nxt = majority_step_reference(g, states[-1])
+        nxt = step(g, states[-1])
         states.append(nxt)
         if first_unanimous is None and nxt.positives() in (0, g.n):
             first_unanimous = d
@@ -434,7 +469,7 @@ def reference_run(g, s0, day_cap):
         outcome = ("day_cap", day_cap, 0, 0)
     days = [(states[0].bias(), 0, states[0].positives())]
     days += [(b.bias(), b.hamming(a), b.positives()) for a, b in zip(states, states[1:])]
-    return days, outcome
+    return days, outcome, states
 
 
 class TestRunMatchesReference:
@@ -453,7 +488,7 @@ class TestRunMatchesReference:
         traj = run(g, s0, day_cap)
         o = traj.outcome
         days = [(d.bias, d.flips, d.positives) for d in traj.days]
-        assert (days, (o.kind, o.day, o.sign, o.period)) == reference_run(g, s0, day_cap)
+        assert (days, (o.kind, o.day, o.sign, o.period)) == reference_run(g, s0, day_cap)[:2]
 
 
 def flipped(s, k, seed):
@@ -465,17 +500,17 @@ def flipped(s, k, seed):
 
 def distances(n):
     """Distances from a state to its known reference: none, a few
-    vertices, and past the n/16 crossover."""
+    vertices, and past the n/8 crossover."""
     return st.one_of(
         st.just(0),
         st.integers(min_value=1, max_value=min(3, n)),
-        st.integers(min_value=min(n // 16 + 1, n), max_value=n),
+        st.integers(min_value=min(n // 8 + 1, n), max_value=n),
     )
 
 
 class TestKnownSums:
     """Sums taken from a known state plus the vertices that differ from it
-    must equal the sums taken from scratch, on every side of n/16."""
+    must equal the sums taken from scratch, on every side of n/8."""
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -495,7 +530,7 @@ class TestKnownSums:
             known = flipped(s, k, seed + 2 + day)
             sums = neighbor_sums(g, known)
             reference.append((known.signs(), sums))
-            got = _neighbor_sums(g, s.signs(), known=(known.signs(), sums))
+            got = _neighbor_sums(g, s.signs(), known=[(known.signs(), sums)])
             assert np.array_equal(got, neighbor_sums(g, s))
             assert majority_step(g, s, sums=neighbor_sums(g, s)) == majority_step(g, s)
             s = majority_step(g, s)
@@ -505,13 +540,16 @@ class TestKnownSums:
     def test_both_sides_of_the_crossover(self, n):
         g = sample_gnp(n, 12.0 / n, n)
         s = swung_start(n, 0.0, 1)
-        for k, from_known in ((0, True), (n // 16, True), (n // 16 + 1, False)):
+        for k, from_known in ((0, True), (n // 8, True), (n // 8 + 1, False)):
             known = flipped(s, k, k)
             sums = neighbor_sums(g, known)
-            got = _neighbor_sums(g, s.signs(), s.positives(), (known.signs(), sums))
-            # a balanced state has no small minority, so int64 sums came from
-            # the known state; the matvec keeps the adjacency's dtype
-            assert (got.dtype == np.int64 or got is sums) == from_known
+            got, gathers, products = counted_sums(
+                g, s.signs(), s.positives(), [(known.signs(), sums)]
+            )
+            # a balanced state has no small minority, so rows gathered, or
+            # the known sums handed back, came from the known state
+            assert (got is sums if k == 0 else gathers == row_blocks(k, n)) == from_known
+            assert products == (0 if from_known else 1)
             assert np.array_equal(got, neighbor_sums(g, s))
 
     @settings(max_examples=120, deadline=None)
@@ -522,12 +560,14 @@ class TestKnownSums:
         seed=st.integers(min_value=0, max_value=2**31),
         data=st.data(),
     )
-    def test_the_nearer_state_within_n_over_16_gives_the_sums(self, n, p, majority, seed, data):
+    def test_the_nearer_state_within_the_delta_share_gives_the_sums(
+        self, n, p, majority, seed, data
+    ):
         # distances to the nearer unanimous state and to the known state:
-        # none, either side of n/16, within it, and any, so either state is
-        # sometimes the nearer one with both inside n/16
-        edge = st.sampled_from([n // 16, n // 16 + 1])
-        small = st.integers(min_value=0, max_value=n // 16)
+        # none, either side of n/8, within it, and any, so either state is
+        # sometimes the nearer one with both inside n/8
+        edge = st.sampled_from([n // 8, n // 8 + 1])
+        small = st.integers(min_value=0, max_value=n // 8)
         minority = data.draw(st.one_of(edge, small, st.integers(min_value=0, max_value=n // 2)))
         k = data.draw(st.one_of(st.just(0), edge, small, st.integers(min_value=0, max_value=n)))
         g = sample_gnp(n, p, seed)
@@ -537,18 +577,18 @@ class TestKnownSums:
         known_sums = g._adjacency @ known.signs().astype(np.int64)
         counter = CountingAdjacency(g._adjacency)
         g.__dict__["_adjacency"] = counter
-        got = _neighbor_sums(g, s.signs(), s.positives(), (known.signs(), known_sums))
+        got = _neighbor_sums(g, s.signs(), s.positives(), [(known.signs(), known_sums)])
         assert np.array_equal(got, expected)
         # the rows gathered are the chosen state's distance; at distance 0
         # the known state hands back its own sums
         nearest = min(k, minority)
         if k == 0:
             assert got is known_sums and counter.gathers == []
-        elif 16 * nearest <= n:
-            assert sum(counter.gathers) == nearest and counter.products == 0
+        elif 8 * nearest <= n:
+            assert counter.gathers == row_blocks(nearest, n) and counter.products == 0
         else:
             assert counter.gathers == [] and counter.products == 1
-        assert all(16 * rows <= n for rows in counter.gathers)
+        assert all(16 * (rows - 1) <= n for rows in counter.gathers)
 
     def test_known_state_of_the_wrong_size_is_rejected(self):
         g = path_graph(3)
@@ -557,6 +597,105 @@ class TestKnownSums:
             run(g, s, 5, reference=[(s.signs(), np.zeros(4, dtype=np.int32))])
         with pytest.raises(ValueError):
             majority_step(g, s, sums=np.zeros(2, dtype=np.int32))
+
+
+def matvec_step(g, s):
+    """One day from a plain int64 product of the whole adjacency."""
+    sums = g._adjacency.astype(np.int64) @ s.signs().astype(np.int64)
+    return OpinionVector(np.where(sums == 0, s.signs(), np.sign(sums)).astype(np.int8))
+
+
+def sum_paths(states, reference):
+    """The (path, distance) ``run`` should take on each day it steps from
+    ``states``: the nearest of the state two days back, the reference pair
+    and the nearer unanimous state, in that order on a tie, or "matvec"
+    when even the nearest differs on more than n/8 vertices."""
+    n = states[0].n
+    paths = []
+    for d in range(1, len(states)):
+        cur = states[d - 1]
+        pos = cur.positives()
+        if pos in (0, n):  # unanimity is confirmed without a step
+            break
+        near = [("two_back", cur.hamming(states[d - 3]))] if d >= 3 else []
+        if d <= len(reference):
+            near.append(("reference", int(np.count_nonzero(cur.signs() != reference[d - 1][0]))))
+        near.append(("unanimous", min(pos, n - pos)))
+        name, k = min(near, key=lambda c: c[1])
+        paths.append((name if 8 * k <= n else "matvec", k))
+    return paths
+
+
+@st.composite
+def graphs_and_starts(draw):
+    """A graph, a start, and whether the start hovers next to a two-cycle.
+
+    Random graphs take a uniform or a biased start.  The hovering start is
+    an alternating even cycle, a two-cycle, with a few vertices turned:
+    each turned vertex freezes a domain that grows by a vertex a side a
+    day, so days two apart differ on a few vertices while half the cycle
+    flips.  With a hub, a vertex joined to 128 or more others, the
+    adjacency is int16."""
+    kind = draw(st.sampled_from(["uniform", "biased", "hovering"]))
+    hub = draw(st.booleans())
+    seed = draw(st.integers(min_value=0, max_value=2**31))
+    rng = np.random.default_rng(seed)
+    if kind == "hovering":
+        m = 2 * draw(st.integers(min_value=8, max_value=150))
+        edges = [(i, (i + 1) % m) for i in range(m)]
+        signs = np.where(np.arange(m) % 2 == 0, 1, -1).astype(np.int8)
+        turned = rng.choice(m, size=draw(st.integers(min_value=1, max_value=m // 16)), replace=False)
+        signs[turned] *= -1
+        if hub:  # a separate star, itself a two-cycle: centre +1, leaves -1
+            leaves = draw(st.integers(min_value=128, max_value=200))
+            edges += [(m, m + 1 + i) for i in range(leaves)]
+            signs = np.concatenate([signs, [1], np.full(leaves, -1, dtype=np.int8)])
+        return from_edges(signs.size, edges), OpinionVector(signs), True
+    n = draw(st.integers(min_value=130 if hub else 1, max_value=300))
+    upper = np.triu(rng.random((n, n)) < draw(st.floats(min_value=0.0, max_value=0.3)), 1)
+    if hub:
+        upper[0, 1:] = True
+    g = from_edges(n, np.argwhere(upper))
+    if kind == "uniform":
+        return g, sample_uniform(n, rng), False
+    share = draw(st.floats(min_value=0.0, max_value=0.5))
+    return g, with_minority(n, int(share * n), draw(st.sampled_from([1, -1])), rng), False
+
+
+class TestSumPaths:
+    """``run`` takes each day's sums by one of four paths: a matvec, or a
+    product over the rows that differ from the nearer unanimous state, a
+    reference pair, or the state two days back.  Whichever it takes, the
+    trajectory must equal a plain int64 matvec replay, and the rows it
+    gathers, n/16 at a time, must add up to the nearest state's distance."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=graphs_and_starts(), day_cap=st.integers(min_value=1, max_value=12), data=st.data())
+    def test_run_equals_a_matvec_replay(self, case, day_cap, data):
+        g, s0, hovering = case
+        days, outcome, states = reference_run(g, s0, day_cap, matvec_step)
+        # reference pairs near the replayed days, as a census hands them over
+        reference = []
+        for d in range(data.draw(st.integers(min_value=0, max_value=min(3, len(states))))):
+            known = flipped(states[d], data.draw(distances(g.n)), d)
+            reference.append((known.signs(), g._adjacency.astype(np.int64) @ known.signs()))
+        counter = CountingAdjacency(g._adjacency)
+        g.__dict__["_adjacency"] = counter
+        traj = run(g, s0, day_cap, reference=reference)
+        o = traj.outcome
+        assert [(d.bias, d.flips, d.positives) for d in traj.days] == days
+        assert (o.kind, o.day, o.sign, o.period) == outcome
+        paths = sum_paths(states, reference)
+        event(f"adjacency {counter.a.dtype}")
+        for name in sorted({name for name, _ in paths}):
+            event(f"path {name}")
+        delta = [k for name, k in paths if name != "matvec"]
+        assert counter.gathers == [rows for k in delta for rows in row_blocks(k, g.n)]
+        assert counter.products == sum(name == "matvec" for name, _ in paths)
+        # from day 4 on no reference pair is left, and the domains frozen
+        # around the turned vertices keep days two apart close
+        if hovering and day_cap >= 4:
+            assert any(name == "two_back" for name, _ in paths[3:])
 
 
 def trajectory_rows(traj):

@@ -662,6 +662,27 @@ class TestWriteReport:
         with pytest.raises(ValueError):
             write_report(report, tmp_path / "r.xml", "xml")
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("part", ["trials", "aggregates"])
+    def test_failure_mid_stream_keeps_the_old_report(self, tmp_path, fmt, part):
+        class Unwritable:
+            def __str__(self):
+                raise RuntimeError("failed mid-stream")
+
+        report = run_experiment(small_cfg(trials=4))
+        path = tmp_path / f"r.{fmt}"
+        before = {f: f.read_bytes() for f in write_report(report, path, fmt)}
+        if part == "trials":
+            bad = replace(report.trials[1], error=Unwritable())
+            report = replace(report, trials=report.trials[:1] + (bad,) + report.trials[2:])
+        else:
+            report = replace(report, aggregates={"bad": Unwritable(), **report.aggregates})
+        # CSV fails in its own cell, JSON as it meets an object it cannot encode
+        with pytest.raises((RuntimeError, TypeError)):
+            write_report(report, path, fmt)
+        assert sorted(tmp_path.iterdir()) == sorted(before)
+        assert {f: f.read_bytes() for f in before} == before
+
     def test_write_failure_carries_path(self, tmp_path):
         report = run_experiment(small_cfg(trials=2))
         with pytest.raises(OSError, match="missing"):
