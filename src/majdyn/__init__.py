@@ -12,16 +12,10 @@ from .dynamics import (
     Outcome,
     Trajectory,
     majority_step,
-    majority_step_reference,
-    neighbor_sum,
-    neighbor_sums,
     run,
 )
 from .graph import (
     Graph,
-    JumblednessEstimate,
-    degree_stats,
-    edges_between,
     estimate_jumbledness,
     from_edges,
     load_graph,

@@ -21,10 +21,10 @@ vertex u in the differing set D holds -known[u], so the sums are known +
 taken in the adjacency's dtype, the narrowest signed integer holding
 -deg..deg for the graph's maximum degree (int8 at the paper's densities);
 every sum lies in that range, so sums taken modulo the dtype's width are
-exact.  :func:`neighbor_sums` returns them as int32.  Best of 21 on a
-2-core Xeon at mean degree 20, the delta way took 8.7, 12.5 and 21.3 ms at
-|D| = n/16, n/8 and n/4 against a 28.7 ms matvec at n=10^6, and 1.15, 1.68
-and 3.30 against 3.65 ms at n=10^5, copying 6.5 MB of rows per n/16 block.
+exact.  Best of 21 on a 2-core Xeon at mean degree 20, the delta way took
+8.7, 12.5 and 21.3 ms at |D| = n/16, n/8 and n/4 against a 28.7 ms matvec
+at n=10^6, and 1.15, 1.68 and 3.30 against 3.65 ms at n=10^5, copying
+6.5 MB of rows per n/16 block.
 
 A unanimous state is fixed (every vertex sees M*deg, and an isolated one
 keeps M), so :func:`run` records its confirmation day without a step.
@@ -77,23 +77,12 @@ class OpinionVector:
         """Sum of all opinions, 2*positives - n."""
         return 2 * self.positives() - self.n
 
-    def hamming(self, other: "OpinionVector") -> int:
-        if other.n != self.n:
-            raise ValueError("size mismatch")
-        return int(np.count_nonzero(self._signs != other._signs))
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, OpinionVector)
             and other.n == self.n
             and np.array_equal(other._signs, self._signs)
         )
-
-    def __hash__(self):
-        return hash(self._signs.tobytes())
-
-    def __neg__(self) -> "OpinionVector":
-        return OpinionVector(-self._signs)
 
     def __repr__(self) -> str:
         return f"OpinionVector(n={self.n}, bias={self.bias()})"
@@ -139,21 +128,6 @@ def _neighbor_sums(g: Graph, signs: np.ndarray, positives: int | None = None, kn
     return (np.add if sign > 0 else np.subtract)(sums, base, out=sums)
 
 
-def neighbor_sums(g: Graph, s: OpinionVector) -> np.ndarray:
-    """Vector of signed neighbor sums for every vertex, as int32."""
-    if s.n != g.n:
-        raise ValueError("opinion vector does not match graph size")
-    return _neighbor_sums(g, s.signs()).astype(np.int32)
-
-
-def neighbor_sum(g: Graph, s: OpinionVector, v: int) -> int:
-    """Exact signed sum of opinions over the neighbors of ``v`` (0 when
-    isolated)."""
-    if s.n != g.n:
-        raise ValueError("opinion vector does not match graph size")
-    return int(s.signs()[g.neighbors_of(v)].sum(dtype=np.int64))
-
-
 def _next_signs(sums: np.ndarray, signs: np.ndarray) -> np.ndarray:
     # signs fit int8 whatever the sums' dtype, so no wide temporary is made
     out = np.sign(sums, out=np.empty(sums.size, dtype=np.int8), casting="unsafe")
@@ -165,8 +139,8 @@ def majority_step(g: Graph, s: OpinionVector, *, sums: np.ndarray | None = None)
     """One synchronous day of the dynamics; the input is not modified.
 
     ``sums``, when given, must be ``s``'s own neighbour sums in any signed
-    integer dtype (as :func:`neighbor_sums` gives them); the step reads
-    them instead of computing them.
+    integer dtype (as a census hands them over); the step reads them
+    instead of computing them.
     """
     if s.n != g.n:
         raise ValueError("opinion vector does not match graph size")
@@ -175,21 +149,6 @@ def majority_step(g: Graph, s: OpinionVector, *, sums: np.ndarray | None = None)
     elif np.shape(sums) != (g.n,):
         raise ValueError("neighbour sums do not match graph size")
     return OpinionVector(_next_signs(sums, s.signs()))
-
-
-def majority_step_reference(g: Graph, s: OpinionVector) -> OpinionVector:
-    """Slow per-vertex reference used to cross-check the vectorized step."""
-    signs = s.signs()
-    out = signs.copy()
-    for v in range(g.n):
-        t = 0
-        for u in g.neighbors_of(v):
-            t += int(signs[u])
-        if t > 0:
-            out[v] = 1
-        elif t < 0:
-            out[v] = -1
-    return OpinionVector.from_signs(out)
 
 
 @dataclass(frozen=True)

@@ -41,15 +41,15 @@ majdyn`` loads numpy only and a command that never builds a graph
 (``verify-lemmas``) never loads the sparse stack; after the first build
 Python's import cache makes the import a lookup.
 
-Edge counts e(U, V) between vertex sets, for :func:`edges_between` and the
-jumbledness witness alike, come from one sparse × dense product: the
-indicator vectors of the V sets are stacked as the columns of an n × k
-block in the adjacency's dtype, ``A @ block`` counts every vertex's
-neighbours in each V, and column j summed in int64 over the rows in U_j is
-e(U_j, V_j).  Columns go through in blocks of at most ``_BLOCK_BYTES``, and
-the witness draws its pairs one block ahead (the same rng calls in the same
-order as drawing them one by one), so many pairs on a large graph never need
-one huge dense block or every pair's ids at once.
+The jumbledness witness takes its edge counts e(U, V) between vertex sets
+from one sparse × dense product: the indicator vectors of the V sets are
+stacked as the columns of an n × k block in the adjacency's dtype, ``A @
+block`` counts every vertex's neighbours in each V, and column j summed in
+int64 over the rows in U_j is e(U_j, V_j).  Columns go through in blocks
+of at most ``_BLOCK_BYTES``, and the witness draws its pairs one block
+ahead (the same rng calls in the same order as drawing them one by one), so
+many pairs on a large graph never need one huge dense block or every pair's
+ids at once.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ import itertools
 import math
 import os
 import struct
-from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
 
@@ -192,10 +191,16 @@ def _integers(what: str, values) -> np.ndarray:
 def from_edges(n: int, edges) -> Graph:
     """Build a graph from an iterable of (u, v) pairs; it records no density.
 
-    Rejects self-loops and duplicate edges; order and orientation of the
-    input pairs is irrelevant.
+    Rejects an n outside ``1..MAX_VERTICES`` before anything is allocated,
+    input that is neither empty nor of shape (m, 2), self-loops and
+    duplicate edges; order and orientation of the input pairs is
+    irrelevant.
     """
-    pairs = np.asarray(list(edges), dtype=np.int64).reshape(-1, 2)
+    check_vertex_count(n)
+    pairs = np.asarray(list(edges), dtype=np.int64)
+    if pairs.size and (pairs.ndim != 2 or pairs.shape[1] != 2):
+        raise ValueError(f"edges must be (u, v) pairs, got shape {pairs.shape}")
+    pairs = pairs.reshape(-1, 2)
     if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
         raise ValueError("edge endpoint out of range")
     if np.any(pairs[:, 0] == pairs[:, 1]):
@@ -344,26 +349,6 @@ def sample_gnp(n: int, p: float, seed) -> Graph:
     return _symmetric(n, *_upper_rows(n, blocks, min(size, total)))
 
 
-def degree_stats(g: Graph) -> tuple[int, int, float]:
-    """(min degree, max degree, mean degree)."""
-    d = g.degrees
-    return int(d.min()), int(d.max()), float(d.mean())
-
-
-@dataclass(frozen=True)
-class JumblednessEstimate:
-    """Sampled lower-bound witness for the discrepancy coefficient beta.
-
-    ``beta_hat`` is the largest normalized discrepancy
-    |e(U,V) - p|U||V|| / sqrt(|U||V|) seen over the sampled subset pairs;
-    the true coefficient is at least this large.
-    """
-
-    beta_hat: float
-    pairs_tested: int
-    min_degree: int
-
-
 def _edge_counts(g: Graph, pairs):
     """Yield (U, V, e(U, V)) for each (U, V) in ``pairs``, one sparse × dense
     product per block of at most ``_BLOCK_BYTES`` of V indicators.
@@ -385,36 +370,22 @@ def _edge_counts(g: Graph, pairs):
             yield u, v, int(hits[u, col].sum(dtype=np.int64))
 
 
-def edges_between(g: Graph, u_set, v_set) -> int:
-    """Ordered-pair edge count e(U, V) = #{(u, v): u in U, v in V, uv an edge}.
-
-    Edges with both endpoints in the overlap of U and V are counted twice,
-    once per orientation.  One product of the adjacency with V's indicator,
-    so it costs O(n + m) whatever the sizes of U and V.
-    """
-    u = np.unique(np.asarray(u_set, dtype=np.int64))
-    v = np.unique(np.asarray(v_set, dtype=np.int64))
-    for s in (u, v):
-        if s.size and (s.min() < 0 or s.max() >= g.n):
-            raise ValueError("vertex id out of range")
-    if u.size == 0 or v.size == 0:
-        return 0
-    return next(_edge_counts(g, [(u, v)]))[2]
-
-
 def estimate_jumbledness(
     g: Graph,
     p: float,
     pairs: int = 200,
     subset_size_range: tuple[int, int] = (0, 0),
     seed=0,
-) -> JumblednessEstimate:
-    """Estimate the discrepancy coefficient by sampling disjoint subset pairs.
+) -> float:
+    """Thomason's discrepancy coefficient beta, estimated from below by
+    sampling disjoint subset pairs.
 
     Each round draws disjoint U, V of sizes uniform in ``subset_size_range``
-    and records |e(U,V) - p|U||V|| / sqrt(|U||V|).  Pairs are drawn disjoint
-    so a complete graph has zero discrepancy (the diagonal never contributes).
-    ``subset_size_range=(0, 0)`` defaults to sizes around n/4.
+    and the witness ``beta_hat`` is the largest |e(U,V) - p|U||V|| /
+    sqrt(|U||V|) seen; the true coefficient is at least this large.  Pairs
+    are drawn disjoint so a complete graph has zero discrepancy (the
+    diagonal never contributes).  ``subset_size_range=(0, 0)`` defaults to
+    sizes around n/4.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
@@ -442,8 +413,7 @@ def estimate_jumbledness(
         disc = abs(e - p * u.size * v.size) / math.sqrt(u.size * v.size)
         if disc > worst:
             worst = disc
-    mind = int(g.degrees.min())
-    return JumblednessEstimate(beta_hat=worst, pairs_tested=pairs, min_degree=mind)
+    return worst
 
 
 def save_graph(g: Graph, path) -> None:

@@ -384,14 +384,14 @@ def bias_sweep(cfg: ExperimentConfig, d_values) -> Table:
     for sub in _validated([replace(cfg, model=OpinionModel("fixed_discrepancy", d=int(d)))
                            for d in d_values]):
         report = run_experiment(sub)
+        unanimous = report.aggregates["unanimous"]
+        positive = sum(1 for t in report.trials if t.outcome == "unanimous" and t.sign > 0)
         rows.append(
             {
                 "d": sub.model.d,
                 **_sweep_row(report),
-                "positive_sign_fraction": (
-                    sum(1 for t in report.trials if t.outcome == "unanimous" and t.sign > 0)
-                    / max(report.aggregates["unanimous"], 1)
-                ),
+                # a row with no unanimous trial has no winning sign to share out
+                "positive_sign_fraction": positive / unanimous if unanimous else None,
             }
         )
     return Table(("d", *_SWEEP_COLUMNS, "positive_sign_fraction"), tuple(rows))
@@ -415,8 +415,8 @@ def auto_bias_floor(cfg: ExperimentConfig) -> int:
     cfg.validate()
     p = cfg.resolved_p()
     g = sample_gnp(cfg.n, p, _trial_seed_sequence(cfg.master_seed, cfg.trials + 1))
-    est = estimate_jumbledness(g, p, pairs=100, seed=cfg.master_seed)
-    return max(1, math.ceil(8.0 * est.beta_hat / (p * math.sqrt(0.9))))
+    beta_hat = estimate_jumbledness(g, p, pairs=100, seed=cfg.master_seed)
+    return max(1, math.ceil(8.0 * beta_hat / (p * math.sqrt(0.9))))
 
 
 # -- serialization ----------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Shared graph builders and adjacency probes for the test suite."""
+"""Shared graph builders, adjacency probes and the oracles the fast paths
+are checked against."""
 
 from __future__ import annotations
 
@@ -6,7 +7,7 @@ import itertools
 
 import numpy as np
 
-from majdyn import apply_swing, from_edges, sample_morning
+from majdyn import OpinionVector, apply_swing, from_edges, sample_morning
 
 
 def path_graph(n):
@@ -27,6 +28,52 @@ def star_graph(leaves):
 
 def empty_graph(n):
     return from_edges(n, [])
+
+
+def degree_stats(g):
+    """(min degree, max degree, mean degree), read off ``g.degrees``."""
+    d = g.degrees
+    return int(d.min()), int(d.max()), float(d.mean())
+
+
+def edges_between(g, u_set, v_set):
+    """Ordered-pair edge count e(U, V) = #{(u, v): u in U, v in V, uv an
+    edge} over the sets' distinct ids, by a walk of U's neighbour lists;
+    an edge inside the overlap of U and V counts once per orientation."""
+    v_ids = {int(v) for v in v_set}
+    return sum(int(w) in v_ids for u in {int(u) for u in u_set} for w in g.neighbors_of(u))
+
+
+def neighbor_sum(g, s, v):
+    """Exact signed sum of opinions over the neighbours of ``v`` (0 when
+    isolated)."""
+    return int(s.signs()[g.neighbors_of(v)].sum(dtype=np.int64))
+
+
+def neighbor_sums(g, s):
+    """Every vertex's neighbour sum in int64, from the CSR arrays alone:
+    differences of one running sum over the neighbour list, cut at the
+    offsets, with no scipy adjacency involved."""
+    running = np.concatenate(([0], np.cumsum(s.signs()[g.neighbors], dtype=np.int64)))
+    return running[g.offsets[1:]] - running[g.offsets[:-1]]
+
+
+def majority_step_reference(g, s):
+    """The paper's update rule applied one vertex at a time: the sign of the
+    neighbour sum, the old opinion on a tie."""
+    signs = s.signs()
+    out = signs.copy()
+    for v in range(g.n):
+        t = neighbor_sum(g, s, v)
+        if t != 0:
+            out[v] = 1 if t > 0 else -1
+    return OpinionVector.from_signs(out)
+
+
+def hamming(a, b):
+    """Vertices on which two opinion vectors of one size differ."""
+    assert a.n == b.n
+    return int(np.count_nonzero(a.signs() != b.signs()))
 
 
 def swung_start(n, c, seed):

@@ -20,6 +20,10 @@ from conftest import (
     complete_graph,
     cycle_graph,
     empty_graph,
+    hamming,
+    majority_step_reference,
+    neighbor_sum,
+    neighbor_sums,
     path_graph,
     star_graph,
     swung_start,
@@ -28,9 +32,6 @@ from majdyn import (
     OpinionVector,
     from_edges,
     majority_step,
-    majority_step_reference,
-    neighbor_sum,
-    neighbor_sums,
     run,
     sample_fixed_discrepancy,
     sample_gnp,
@@ -41,6 +42,10 @@ from majdyn.dynamics import _neighbor_sums
 
 def vec(*signs):
     return OpinionVector.from_signs(np.array(signs, dtype=np.int8))
+
+
+def negated(s):
+    return OpinionVector(-s.signs())
 
 
 class TestOpinionVector:
@@ -61,20 +66,16 @@ class TestOpinionVector:
         assert vec(*([1] * 6 + [-1] * 4)).bias() == 2
         assert vec(-1).bias() == -1
 
-    def test_positives_uses_packed_popcount(self):
+    def test_positives_counts_the_plus_ones(self):
         s = vec(*([1] * 13 + [-1] * 4))
         assert s.positives() == 13
 
-    def test_hamming_and_equality(self):
+    def test_equality(self):
         a = vec(1, -1, 1, -1, 1)
         b = vec(1, 1, 1, -1, -1)
-        assert a.hamming(b) == 2
         assert a == vec(1, -1, 1, -1, 1)
         assert a != b
-
-    def test_negation(self):
-        a = vec(1, -1, 1)
-        assert list((-a).signs()) == [-1, 1, -1]
+        assert a != vec(1, -1, 1, -1)
 
     @pytest.mark.parametrize("bad", [1.5, 0.5, -1.2, np.nan])
     def test_rejects_non_integer_values(self, bad):
@@ -90,33 +91,31 @@ class TestOpinionVector:
     def test_signs_are_read_only(self):
         s = vec(1, -1, 1)
         g = path_graph(3)
-        for v in (s, -s, majority_step(g, s), sample_uniform(5, 0)):
+        for v in (s, negated(s), majority_step(g, s), sample_uniform(5, 0)):
             with pytest.raises(ValueError):
                 v.signs()[0] = 1
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.sampled_from([-1, 1]), min_size=1, max_size=200))
-    def test_pack_round_trip(self, signs):
+    def test_signs_round_trip(self, signs):
         s = OpinionVector.from_signs(np.array(signs, dtype=np.int8))
         assert list(s.signs()) == signs
         assert s.bias() == sum(signs)
         assert s.positives() == signs.count(1)
 
 
-class TestNeighborSum:
-    def test_isolated_vertex(self):
-        g = empty_graph(3)
-        assert neighbor_sum(g, vec(1, -1, 1), 1) == 0
+class TestNeighborSums:
+    def test_isolated_vertices(self):
+        assert list(_neighbor_sums(empty_graph(3), vec(1, -1, 1).signs())) == [0, 0, 0]
 
-    def test_path_center(self):
-        g = path_graph(3)
-        assert neighbor_sum(g, vec(1, -1, 1), 1) == 2
-        assert neighbor_sum(g, vec(1, -1, 1), 0) == -1
+    def test_path(self):
+        assert list(_neighbor_sums(path_graph(3), vec(1, -1, 1).signs())) == [-1, 2, -1]
 
-    def test_matches_vectorized(self):
+    def test_matches_the_per_vertex_and_csr_oracles(self):
         g = sample_gnp(60, 0.2, 4)
         s = sample_uniform(60, 9)
-        sums = neighbor_sums(g, s)
+        sums = _neighbor_sums(g, s.signs())
+        assert np.array_equal(sums, neighbor_sums(g, s))
         for v in range(g.n):
             assert neighbor_sum(g, s, v) == sums[v]
 
@@ -135,9 +134,9 @@ class TestDegreeSizedSums:
         signs = np.full(leaves + 1, leaf_sign, dtype=np.int8)
         signs[0] = -leaf_sign
         s = OpinionVector.from_signs(signs)
-        sums = neighbor_sums(g, s)
-        assert g._adjacency.dtype == dtype
-        assert sums.dtype == np.int32
+        sums = _neighbor_sums(g, s.signs())
+        assert g._adjacency.dtype == sums.dtype == dtype
+        assert np.array_equal(sums, neighbor_sums(g, s))
         assert sums[0] == leaf_sign * leaves
         assert np.all(sums[1:] == -leaf_sign)
         out = majority_step(g, s)
@@ -206,7 +205,7 @@ class TestMajorityStep:
     def test_sign_symmetry(self, n, p, seed):
         g = sample_gnp(n, p, seed)
         s = sample_uniform(n, seed + 1)
-        assert majority_step(g, -s) == -majority_step(g, s)
+        assert majority_step(g, negated(s)) == negated(majority_step(g, s))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -297,7 +296,7 @@ class TestRun:
             assert rec.bias == 2 * rec.positives - g.n
             if d > 0:
                 nxt = majority_step(g, cur)
-                assert rec.flips == nxt.hamming(cur)
+                assert rec.flips == hamming(nxt, cur)
                 assert rec.positives == nxt.positives()
                 cur = nxt
 
@@ -366,9 +365,7 @@ class TestMinoritySideStep:
             assert uses_minority_side(g, s) == minority_side
             out = majority_step(g, s)
             assert out == majority_step_reference(g, s)
-            sums = neighbor_sums(g, s)
-            assert sums.dtype == np.int32
-            assert np.array_equal(sums, [neighbor_sum(g, s, v) for v in range(n)])
+            assert np.array_equal(_neighbor_sums(g, s.signs()), neighbor_sums(g, s))
 
     @pytest.mark.parametrize("leaves", [16, 40, 200])
     def test_star(self, leaves):
@@ -468,7 +465,7 @@ def reference_run(g, s0, day_cap, step=majority_step_reference):
     else:
         outcome = ("day_cap", day_cap, 0, 0)
     days = [(states[0].bias(), 0, states[0].positives())]
-    days += [(b.bias(), b.hamming(a), b.positives()) for a, b in zip(states, states[1:])]
+    days += [(b.bias(), hamming(b, a), b.positives()) for a, b in zip(states, states[1:])]
     return days, outcome, states
 
 
@@ -617,7 +614,7 @@ def sum_paths(states, reference):
         pos = cur.positives()
         if pos in (0, n):  # unanimity is confirmed without a step
             break
-        near = [("two_back", cur.hamming(states[d - 3]))] if d >= 3 else []
+        near = [("two_back", hamming(cur, states[d - 3]))] if d >= 3 else []
         if d <= len(reference):
             near.append(("reference", int(np.count_nonzero(cur.signs() != reference[d - 1][0]))))
         near.append(("unanimous", min(pos, n - pos)))

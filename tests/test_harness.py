@@ -463,6 +463,13 @@ class TestBiasSweep:
         assert row["median_unanimity_day"] == 0.0
         assert row["positive_sign_fraction"] == 1.0
 
+    def test_a_row_without_unanimous_trials_has_no_sign_share(self):
+        # mean degree 0.24: isolated vertices of both signs keep them, so only
+        # the unanimous start ends unanimous
+        table = bias_sweep(fixed_cfg(p=0.002, trials=5), [0, 120])
+        assert [(row["unanimity_fraction"], row["positive_sign_fraction"]) for row in table.rows] \
+            == [(0.0, None), (1.0, 1.0)]
+
     def test_rejects_parity_mismatch(self):
         with pytest.raises(ValueError):
             bias_sweep(fixed_cfg(), [3])

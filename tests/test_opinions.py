@@ -15,14 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import complete_graph, empty_graph, path_graph, star_graph, swung_start
+from conftest import complete_graph, empty_graph, neighbor_sums, path_graph, star_graph, swung_start
 from majdyn import (
     OpinionModel,
     OpinionVector,
     apply_swing,
     census,
     majority_step,
-    neighbor_sums,
     psi,
     run,
     sample_fixed_discrepancy,
@@ -216,7 +215,7 @@ class TestCensus:
         plus = OpinionVector.from_signs(np.ones(129, dtype=np.int8))
         rep = census(g, plus, none, gamma=0.0, p=0.5)
         assert (rep.almost_positive, rep.unstable, rep.excess) == (129, 0, 64)
-        rep = census(g, -plus, none, gamma=0.0, p=0.5)
+        rep = census(g, OpinionVector(-plus.signs()), none, gamma=0.0, p=0.5)
         assert (rep.almost_positive, rep.unstable, rep.excess) == (0, 0, -65)
         # centre +1 between 64 + and 64 - leaves: tied, so unstable, and it
         # keeps +1, turning every leaf + on day one
