@@ -91,7 +91,11 @@ def _build_parser() -> _Parser:
     p_sweep.add_argument("--d-values", help="comma-separated opinion sums to sweep")
     p_sweep.add_argument("--p-values", help="comma-separated densities to sweep")
 
-    p_census = sub.add_parser("census", help="almost-positive excess distribution")
+    p_census = sub.add_parser(
+        "census", help="almost-positive excess distribution",
+        description="Distribution of the day-one almost-positive excess under the swung "
+                    "balanced model.  The table reads only the census, so each trial runs "
+                    "one day whatever --day-cap says.")
     add_common(p_census)
 
     p_growth = sub.add_parser("growth", help="one-day bias amplification vs sqrt(n p)")

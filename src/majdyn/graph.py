@@ -144,11 +144,6 @@ class Graph:
     def __setstate__(self, state: dict) -> None:
         self.__init__(**state)
 
-    def neighbors_of(self, v: int) -> np.ndarray:
-        if not 0 <= v < self.n:
-            raise ValueError(f"vertex {v} out of range for n={self.n}")
-        return self.neighbors[self.offsets[v]:self.offsets[v + 1]]
-
     def validate(self) -> None:
         """Check every structural invariant the constructor leaves open;
         raises ValueError on the first violation.  O(n + m), meant for tests
@@ -192,15 +187,23 @@ def from_edges(n: int, edges) -> Graph:
     """Build a graph from an iterable of (u, v) pairs; it records no density.
 
     Rejects an n outside ``1..MAX_VERTICES`` before anything is allocated,
-    input that is neither empty nor of shape (m, 2), self-loops and
+    input that is neither empty nor of shape (m, 2), endpoints that are not
+    integers (floats, strings, bools, ints past int64), self-loops and
     duplicate edges; order and orientation of the input pairs is
     irrelevant.
     """
     check_vertex_count(n)
-    pairs = np.asarray(list(edges), dtype=np.int64)
+    if not isinstance(edges, np.ndarray):
+        edges = list(edges)
+    pairs = np.asarray(edges)
     if pairs.size and (pairs.ndim != 2 or pairs.shape[1] != 2):
         raise ValueError(f"edges must be (u, v) pairs, got shape {pairs.shape}")
-    pairs = pairs.reshape(-1, 2)
+    # numpy reads a bool beside an int in a list as 0 or 1, so a list's bools
+    # are found by type; an array's dtype is its type
+    if pairs.size and (pairs.dtype.kind not in "iu" or isinstance(edges, list) and any(
+            isinstance(x, (bool, np.bool_)) for row in edges for x in row)):
+        raise ValueError(f"edge endpoints must be integers, got dtype {pairs.dtype}")
+    pairs = pairs.astype(np.int64).reshape(-1, 2)
     if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
         raise ValueError("edge endpoint out of range")
     if np.any(pairs[:, 0] == pairs[:, 1]):
@@ -370,33 +373,22 @@ def _edge_counts(g: Graph, pairs):
             yield u, v, int(hits[u, col].sum(dtype=np.int64))
 
 
-def estimate_jumbledness(
-    g: Graph,
-    p: float,
-    pairs: int = 200,
-    subset_size_range: tuple[int, int] = (0, 0),
-    seed=0,
-) -> float:
+def estimate_jumbledness(g: Graph, p: float, pairs: int = 200, seed=0) -> float:
     """Thomason's discrepancy coefficient beta, estimated from below by
     sampling disjoint subset pairs.
 
-    Each round draws disjoint U, V of sizes uniform in ``subset_size_range``
+    Each round draws disjoint U, V of sizes uniform in n/8..n/4 (at least 1)
     and the witness ``beta_hat`` is the largest |e(U,V) - p|U||V|| /
     sqrt(|U||V|) seen; the true coefficient is at least this large.  Pairs
     are drawn disjoint so a complete graph has zero discrepancy (the
-    diagonal never contributes).  ``subset_size_range=(0, 0)`` defaults to
-    sizes around n/4.
+    diagonal never contributes).
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     if pairs < 1:
         raise ValueError("need at least one subset pair")
-    lo, hi = subset_size_range
-    if lo == 0 and hi == 0:
-        hi = max(g.n // 4, 1)
-        lo = max(hi // 2, 1)
-    if not 1 <= lo <= hi:
-        raise ValueError("empty subset size range")
+    hi = max(g.n // 4, 1)
+    lo = max(hi // 2, 1)
     if 2 * hi > g.n:
         raise ValueError("subset sizes must allow disjoint pairs (2*max <= n)")
     rng = np.random.default_rng(seed)

@@ -304,10 +304,13 @@ def growth_ratio_experiment(cfg: ExperimentConfig) -> Table:
 
 def census_experiment(cfg: ExperimentConfig) -> Table:
     """Distribution of the almost-positive excess under the swung balanced
-    model; requires gamma, which only the morning_evening model takes."""
+    model; requires gamma, which only the morning_evening model takes.
+    The table reads only the day-one census, so each trial runs one day
+    whatever the config's day cap, which is still validated."""
     if cfg.gamma is None:
         raise ValueError("the census needs gamma")
-    agg = run_experiment(cfg).aggregates
+    cfg.validate()
+    agg = run_experiment(replace(cfg, day_cap=1)).aggregates
     keys = [f"alpha_hat_q{int(q * 100):02d}" for q in _ALPHA_QUANTILES]
     keys.append("positive_excess_fraction")
     return Table(("key", "value"), tuple({"key": key, "value": agg[key]} for key in keys))

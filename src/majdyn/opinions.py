@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import OpinionVector, _neighbor_sums, majority_step
-from .graph import Graph
+from .graph import Graph, check_vertex_count
 
 MODEL_KINDS = ("uniform", "fixed_discrepancy", "morning_evening")
 
@@ -62,8 +62,7 @@ class OpinionModel:
 
 def sample_uniform(n: int, seed) -> OpinionVector:
     """iid uniform +-1 opinions."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    check_vertex_count(n)
     rng = np.random.default_rng(seed)
     return OpinionVector((2 * rng.integers(0, 2, size=n) - 1).astype(np.int8))
 
@@ -77,14 +76,14 @@ def _with_positives(n: int, k: int, rng) -> OpinionVector:
 
 def sample_morning(n: int, seed) -> OpinionVector:
     """Balanced start: exactly ceil(n/2) positives at uniform positions."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    check_vertex_count(n)
     return _with_positives(n, (n + 1) // 2, np.random.default_rng(seed))
 
 
 def sample_fixed_discrepancy(n: int, d: int, seed) -> OpinionVector:
     """Exactly (n+d)/2 positives at uniform positions; d must have the
     parity of n."""
+    check_vertex_count(n)
     OpinionModel("fixed_discrepancy", d=d).validate(n)
     return _with_positives(n, (n + d) // 2, np.random.default_rng(seed))
 
@@ -124,8 +123,6 @@ class CensusReport:
     equality or the repr.
     """
 
-    gamma: float
-    threshold: float
     almost_positive: int
     unstable: int
     unstable_with_swing: int
@@ -163,8 +160,6 @@ def census(g: Graph, r0: OpinionVector, swing_set, gamma: float, p: float) -> Ce
     touches_swing = np.zeros(g.n, dtype=bool)
     touches_swing[g._adjacency[swing].indices] = True
     return CensusReport(
-        gamma=gamma,
-        threshold=threshold,
         almost_positive=almost_positive,
         unstable=int(np.count_nonzero(unstable_mask)),
         unstable_with_swing=int(np.count_nonzero(unstable_mask & touches_swing)),

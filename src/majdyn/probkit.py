@@ -77,12 +77,6 @@ class PMF:
     support_offset: int
     masses: np.ndarray
 
-    def p_eq(self, k: int) -> float:
-        i = k - self.support_offset
-        if 0 <= i < self.masses.size:
-            return float(self.masses[i])
-        return 0.0
-
     def p_ge(self, k: int) -> float:
         i = max(k - self.support_offset, 0)
         if i >= self.masses.size:
@@ -91,9 +85,6 @@ class PMF:
 
     def max_mass(self) -> float:
         return float(self.masses.max())
-
-    def total(self) -> float:
-        return float(self.masses.sum())
 
 
 def _binom_masses(spec: BinomSpec) -> np.ndarray:
@@ -176,9 +167,9 @@ def psi_pair_bound_constant(c: float) -> float:
     return math.exp(-c * c / 2.0) / math.sqrt(2.0 * math.pi)
 
 
-def check_binom_shift(a: BinomSpec, b: BinomSpec, c: float = 1.0) -> tuple[float, float]:
+def check_binom_shift(a: BinomSpec, b: BinomSpec) -> tuple[float, float]:
     """Largest |P[X-Y = t+1] - P[X-Y = t]| over all integers t, next to the
-    bound c / ((m+n) p (1-p)).  Requires a common p strictly inside (0, 1)."""
+    bound 1 / ((m+n) p (1-p)).  Requires a common p strictly inside (0, 1)."""
     if a.prob != b.prob:
         raise ValueError("both variables must share the success probability")
     p = a.prob
@@ -189,7 +180,7 @@ def check_binom_shift(a: BinomSpec, b: BinomSpec, c: float = 1.0) -> tuple[float
     masses = binom_diff_pmf(a, b).masses
     padded = np.concatenate([[0.0], masses, [0.0]])
     max_diff = float(np.abs(np.diff(padded)).max())
-    bound = c / ((a.trials + b.trials) * p * (1.0 - p))
+    bound = 1.0 / ((a.trials + b.trials) * p * (1.0 - p))
     return max_diff, bound
 
 
@@ -201,9 +192,9 @@ def check_equality_prob(a: BinomSpec, b: BinomSpec) -> tuple[float, float, float
     P[X = Y] = sum_j P[X=j] P[Y=j] and P[X >= Y] = sum_j P[Y=j] P[X >= j],
     two length-k sums.  P[X = Y] is numpy's correlate over the operands and
     order that ``np.convolve`` uses for the law's lag 0 (both reversed when
-    Y has the longer support), so its bits are those of
-    ``binom_diff_pmf(a, b).p_eq(0)``; P[X >= Y] agrees with the law's
-    ``p_ge(0)`` to rounding.
+    Y has the longer support), so its bits are those of the law's lag-0
+    mass, ``binom_diff_pmf(a, b).masses[b.trials]``; P[X >= Y] agrees with
+    the law's ``p_ge(0)`` to rounding.
     """
     if a.prob != b.prob:
         raise ValueError("both variables must share the success probability")
@@ -331,19 +322,19 @@ def _sweep_psi_pair_bound() -> SweepResult:
     return SweepResult("psi-pair-lower-bound", cases, worst, -1e-9, worst >= -1e-9)
 
 
-def _sweep_binom_shift(rng, cases: int, bound: float) -> SweepResult:
+def _sweep_binom_shift(rng, cases: int) -> SweepResult:
     worst = 0.0
     for _ in range(cases):
         n = int(rng.integers(1, 400))
         m = int(rng.integers(0, 400))
         p = float(rng.uniform(0.05, 0.95))
-        max_diff, _ = check_binom_shift(BinomSpec(n, p), BinomSpec(m, p), c=1.0)
+        max_diff, _ = check_binom_shift(BinomSpec(n, p), BinomSpec(m, p))
         worst = max(worst, max_diff * (n + m) * p * (1.0 - p))
-    return SweepResult("binom-shift", cases, worst, bound, worst <= bound)
+    return SweepResult("binom-shift", cases, worst, SHIFT_RATIO_BOUND, worst <= SHIFT_RATIO_BOUND)
 
 
-def _sweep_equality_prob(rng, cases: int, band: tuple[float, float]) -> SweepResult:
-    lo, hi = band
+def _sweep_equality_prob(rng, cases: int) -> SweepResult:
+    lo, hi = EQUALITY_RATIO_BAND
     ok = True
     worst = 0.0  # largest excursion of the ratio outside the band
     for _ in range(cases):
@@ -369,7 +360,7 @@ def _sweep_coupling(rng, cases: int) -> SweepResult:
     return SweepResult("coupling-sandwich", cases, worst, 1e-12, ok)
 
 
-def _sweep_four_rv(rng, cases: int, bound: float) -> SweepResult:
+def _sweep_four_rv(rng, cases: int) -> SweepResult:
     worst = 0.0
     done = 0
     while done < cases:
@@ -383,7 +374,7 @@ def _sweep_four_rv(rng, cases: int, bound: float) -> SweepResult:
             continue
         worst = max(worst, diff / scale)
         done += 1
-    return SweepResult("four-rv", cases, worst, bound, worst <= bound)
+    return SweepResult("four-rv", cases, worst, FOUR_RV_RATIO_BOUND, worst <= FOUR_RV_RATIO_BOUND)
 
 
 def _sweep_berry_esseen() -> SweepResult:
@@ -422,9 +413,9 @@ def run_lemma_sweeps(max_cases: int = 200, seed: int = 0) -> list[SweepResult]:
         _sweep_chernoff(),
         _sweep_psi_contraction(),
         _sweep_psi_pair_bound(),
-        _sweep_binom_shift(rng, max_cases, SHIFT_RATIO_BOUND),
-        _sweep_equality_prob(rng, max_cases, EQUALITY_RATIO_BAND),
+        _sweep_binom_shift(rng, max_cases),
+        _sweep_equality_prob(rng, max_cases),
         _sweep_coupling(rng, max_cases),
-        _sweep_four_rv(rng, max_cases, FOUR_RV_RATIO_BOUND),
+        _sweep_four_rv(rng, max_cases),
         _sweep_berry_esseen(),
     ]

@@ -30,6 +30,17 @@ def empty_graph(n):
     return from_edges(n, [])
 
 
+def neighbors_of(g, v):
+    """The neighbour list of vertex ``v``, a slice of ``g.neighbors``."""
+    return g.neighbors[g.offsets[v]:g.offsets[v + 1]]
+
+
+def mass_at(pmf, k):
+    """P[X = k] under the integer law ``pmf``, 0 off its support."""
+    i = k - pmf.support_offset
+    return float(pmf.masses[i]) if 0 <= i < pmf.masses.size else 0.0
+
+
 def degree_stats(g):
     """(min degree, max degree, mean degree), read off ``g.degrees``."""
     d = g.degrees
@@ -41,13 +52,13 @@ def edges_between(g, u_set, v_set):
     edge} over the sets' distinct ids, by a walk of U's neighbour lists;
     an edge inside the overlap of U and V counts once per orientation."""
     v_ids = {int(v) for v in v_set}
-    return sum(int(w) in v_ids for u in {int(u) for u in u_set} for w in g.neighbors_of(u))
+    return sum(int(w) in v_ids for u in {int(u) for u in u_set} for w in neighbors_of(g, u))
 
 
 def neighbor_sum(g, s, v):
     """Exact signed sum of opinions over the neighbours of ``v`` (0 when
     isolated)."""
-    return int(s.signs()[g.neighbors_of(v)].sum(dtype=np.int64))
+    return int(s.signs()[neighbors_of(g, v)].sum(dtype=np.int64))
 
 
 def neighbor_sums(g, s):

@@ -35,6 +35,7 @@ from majdyn import (
     density_sweep,
     growth_ratio_experiment,
     load_config,
+    run,
     run_experiment,
     sample_gnp,
     write_report,
@@ -404,6 +405,25 @@ class TestCensusExperiment:
         quantiles = [value for key, value in values.items() if key.startswith("alpha_hat_q")]
         assert len(quantiles) == 5 and quantiles == sorted(quantiles)
         assert 0.0 <= values["positive_excess_fraction"] <= 1.0
+
+    def test_trials_run_one_day_and_give_the_full_run_table(self, monkeypatch):
+        # the table reads only the day-one census, so no trial runs past day
+        # one, and the values are those of trials run to the end
+        cfg = small_cfg(n=400, trials=6, model=OpinionModel("morning_evening", c=1.0), gamma=0.2)
+        full = run_experiment(cfg).aggregates
+        caps = []
+
+        def spy(g, s0, day_cap, **kwargs):
+            caps.append(day_cap)
+            return run(g, s0, day_cap, **kwargs)
+
+        monkeypatch.setattr(harness, "run", spy)
+        table = census_experiment(cfg)
+        assert caps == [1] * cfg.trials
+        assert [row["value"] for row in table.rows] == [full[row["key"]] for row in table.rows]
+        # the day cap it does not use is still validated
+        with pytest.raises(ValueError, match="day_cap must be at least 1"):
+            census_experiment(replace(cfg, day_cap=0))
 
     def test_excess_monotone_in_gamma(self):
         base = small_cfg(n=400, trials=8, model=OpinionModel("morning_evening", c=1.0))

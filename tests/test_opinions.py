@@ -15,7 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import complete_graph, empty_graph, neighbor_sums, path_graph, star_graph, swung_start
+from conftest import (
+    complete_graph, empty_graph, neighbor_sums, neighbors_of, path_graph, star_graph, swung_start,
+)
 from majdyn import (
     OpinionModel,
     OpinionVector,
@@ -145,6 +147,22 @@ class TestSampleInitial:
         assert swing.size == 10
         assert s.bias() == 20  # ceil(n/2) positives plus 10 flips
 
+    @pytest.mark.parametrize("sample", [
+        lambda n: sample_uniform(n, 0),
+        lambda n: sample_morning(n, 0),
+        lambda n: sample_fixed_discrepancy(n, 1, 0),
+    ], ids=["uniform", "morning", "fixed"])
+    @pytest.mark.parametrize("n", [0, 2**31 + 1])
+    def test_bounds_n_before_it_draws(self, monkeypatch, sample, n):
+        # past 2**31 a draw would allocate gigabytes, so no generator may be
+        # built before n is checked
+        def unreached(*args):
+            raise AssertionError("a generator was built")
+
+        monkeypatch.setattr(np.random, "default_rng", unreached)
+        with pytest.raises(ValueError, match="n must lie in 1..2"):
+            sample(n)
+
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown opinion model kind 'coin'"):
             OpinionModel("coin").validate(10)
@@ -178,7 +196,6 @@ class TestCensus:
         g = path_graph(3)
         r0 = OpinionVector.from_signs(np.array([1, -1, 1]))
         rep = census(g, r0, np.array([], dtype=np.int64), gamma=1.0, p=0.5)
-        assert rep.threshold == pytest.approx(-3.0 / (2.0 * math.sqrt(2.0)))
         assert rep.almost_positive == 2  # day-one sums (+1, -2, +1) vs -1.06
         assert rep.unstable == 0
         assert rep.unstable_with_swing == 0
@@ -246,7 +263,7 @@ class TestCensus:
         gamma, p = 0.2, 0.08
         threshold = -gamma * p**1.5 * g.n
         expected = sum(
-            1 for v in range(g.n) if signs1[g.neighbors_of(v)].sum() > threshold
+            1 for v in range(g.n) if signs1[neighbors_of(g, v)].sum() > threshold
         )
         rep = census(g, r0, np.array([], dtype=np.int64), gamma=gamma, p=p)
         assert rep.almost_positive == expected
