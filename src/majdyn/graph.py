@@ -78,7 +78,9 @@ MAX_VERTICES = 2**31
 
 
 def check_vertex_count(n: int) -> None:
-    """Reject an n outside ``1..MAX_VERTICES`` before anything is allocated."""
+    """Reject a bool, a non-integer or an n outside ``1..MAX_VERTICES``, allocating nothing."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ValueError(f"n must be an integer, got {n!r}")
     if not 1 <= n <= MAX_VERTICES:
         raise ValueError(f"n must lie in 1..2**31 for int32 vertex ids, got {n}")
 
@@ -95,9 +97,12 @@ class Graph:
     """
 
     def __init__(self, n: int, offsets, neighbors):
+        check_vertex_count(n)
         self.n = int(n)
-        check_vertex_count(self.n)
         offsets, ids = _integers("offsets", offsets), _integers("neighbor ids", neighbors)
+        for what, a in (("offsets", offsets), ("neighbor ids", ids)):
+            if a.ndim != 1:
+                raise ValueError(f"{what} must be 1-D, got shape {a.shape}")
         # one pass for both ends, on the ids as given: a negative id reads as
         # 2**bits - |id|, and n <= 2**31 keeps every id within int32
         if ids.size and ids.view(ids.dtype.str.replace("i", "u")).max() >= self.n:
@@ -173,12 +178,14 @@ def _index_dtype(size: int) -> type:
 
 
 def _integers(what: str, values) -> np.ndarray:
-    """``values`` as a 1-D array, uncast; ValueError unless it is empty or
-    of an integer dtype, so no float is truncated and no id wraps unseen."""
+    """``values`` as an array, uncast and uncopied; ValueError unless it is
+    empty or of an integer dtype, so no float is truncated and no id wraps
+    unseen.  numpy reads a bool beside an int as 0 or 1, so a list's or
+    tuple's bools, in it or in its rows, are found by type."""
     a = np.asarray(values)
-    if a.ndim != 1:
-        raise ValueError(f"{what} must be 1-D, got shape {a.shape}")
-    if a.size and a.dtype.kind not in "iu":
+    if a.size and (a.dtype.kind not in "iu" or isinstance(values, (list, tuple)) and any(
+            isinstance(x, (bool, np.bool_))
+            for x in (values if a.ndim == 1 else (x for row in values for x in row)))):
         raise ValueError(f"{what} must be integers, got dtype {a.dtype}")
     return a
 
@@ -195,14 +202,9 @@ def from_edges(n: int, edges) -> Graph:
     check_vertex_count(n)
     if not isinstance(edges, np.ndarray):
         edges = list(edges)
-    pairs = np.asarray(edges)
+    pairs = _integers("edge endpoints", edges)
     if pairs.size and (pairs.ndim != 2 or pairs.shape[1] != 2):
         raise ValueError(f"edges must be (u, v) pairs, got shape {pairs.shape}")
-    # numpy reads a bool beside an int in a list as 0 or 1, so a list's bools
-    # are found by type; an array's dtype is its type
-    if pairs.size and (pairs.dtype.kind not in "iu" or isinstance(edges, list) and any(
-            isinstance(x, (bool, np.bool_)) for row in edges for x in row)):
-        raise ValueError(f"edge endpoints must be integers, got dtype {pairs.dtype}")
     pairs = pairs.astype(np.int64).reshape(-1, 2)
     if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
         raise ValueError("edge endpoint out of range")

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import OpinionVector, _neighbor_sums, majority_step
-from .graph import Graph, check_vertex_count
+from .graph import Graph, _integers, check_vertex_count
 
 MODEL_KINDS = ("uniform", "fixed_discrepancy", "morning_evening")
 
@@ -67,17 +67,10 @@ def sample_uniform(n: int, seed) -> OpinionVector:
     return OpinionVector((2 * rng.integers(0, 2, size=n) - 1).astype(np.int8))
 
 
-def _with_positives(n: int, k: int, rng) -> OpinionVector:
-    signs = np.full(n, -1, dtype=np.int8)
-    if k:
-        signs[rng.choice(n, size=k, replace=False)] = 1
-    return OpinionVector(signs)
-
-
 def sample_morning(n: int, seed) -> OpinionVector:
-    """Balanced start: exactly ceil(n/2) positives at uniform positions."""
-    check_vertex_count(n)
-    return _with_positives(n, (n + 1) // 2, np.random.default_rng(seed))
+    """Balanced start: exactly ceil(n/2) positives at uniform positions,
+    the fixed-sum start with d = n mod 2."""
+    return sample_fixed_discrepancy(n, n % 2, seed)
 
 
 def sample_fixed_discrepancy(n: int, d: int, seed) -> OpinionVector:
@@ -85,7 +78,10 @@ def sample_fixed_discrepancy(n: int, d: int, seed) -> OpinionVector:
     parity of n."""
     check_vertex_count(n)
     OpinionModel("fixed_discrepancy", d=d).validate(n)
-    return _with_positives(n, (n + d) // 2, np.random.default_rng(seed))
+    signs = np.full(n, -1, dtype=np.int8)
+    if n + d:
+        signs[np.random.default_rng(seed).choice(n, size=(n + d) // 2, replace=False)] = 1
+    return OpinionVector(signs)
 
 
 def swing_count(n: int, c: float) -> int:
@@ -138,8 +134,8 @@ def census(g: Graph, r0: OpinionVector, swing_set, gamma: float, p: float) -> Ce
     strict threshold -gamma * p^{3/2} * n with the nominal density ``p``.
     Unstable vertices have day-zero neighbor sum exactly 0;
     ``unstable_with_swing`` counts the unstable vertices adjacent to at
-    least one swing vertex.  The report's ``reference`` carries days 0 and
-    1 with their sums.
+    least one swing vertex, whose ids must be integers in ``0..n-1``.  The
+    report's ``reference`` carries days 0 and 1 with their sums.
     """
     if r0.n != g.n:
         raise ValueError("opinion vector does not match graph size")
@@ -147,7 +143,7 @@ def census(g: Graph, r0: OpinionVector, swing_set, gamma: float, p: float) -> Ce
         raise ValueError(f"gamma must be finite and non-negative, got {gamma}")
     if not 0.0 < p <= 1.0:
         raise ValueError("p must lie in (0, 1]")
-    swing = np.asarray(swing_set, dtype=np.int64)
+    swing = _integers("swing vertex ids", swing_set).astype(np.int64, copy=False)
     if swing.size and (swing.min() < 0 or swing.max() >= g.n):
         raise ValueError("swing vertex id out of range")
     sums0 = _neighbor_sums(g, r0.signs(), r0.positives())

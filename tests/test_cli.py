@@ -292,6 +292,15 @@ class TestSweep:
         assert code == 1 and out == ""
         assert len(err.splitlines()) == 1 and message in err
 
+    def test_a_row_without_unanimous_trials_leaves_its_cells_empty(self, capsys):
+        # mean degree 4 leaves isolated vertices of both signs, so no trial
+        # ends unanimous: the median day and the sign share are missing, and
+        # a missing value is an empty cell, not 0.0 or None
+        code, out, _ = run_cli(capsys, "sweep", "--n", "2000", "--p", "0.002", "--trials", "5",
+                               "--seed", "2", "--d-values", "0,10", "-q")
+        assert code == 0
+        assert out.splitlines()[1:] == ["0,5,0.0,,", "10,5,0.0,,"]
+
     def test_requires_exactly_one_grid(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--n", "100", "--p", "0.1")
         assert code == 1
@@ -330,6 +339,13 @@ class TestExperimentCommands:
         assert code == 1 and out == ""
         assert err == ("majdyn: error: census threshold gamma applies only to the "
                        "morning_evening model\n")
+
+    def test_quenched_census_table_bytes_across_worker_counts(self, capsys):
+        argv = ["census", "--n", "2000", "--p", "0.01", "--trials", "4", "--quenched",
+                "--c", "1", "--gamma", "0.1", "--seed", "7", "-q"]
+        one, two = [run_cli(capsys, *argv, "--workers", workers) for workers in ("1", "2")]
+        assert one[0] == 0 and one[1]
+        assert one == two
 
     def test_census_takes_the_morning_model_flag(self, capsys):
         argv = [*TABLE_COMMANDS["census"], "-q"]
@@ -694,11 +710,11 @@ class TestFailurePaths:
         assert sorted(os.listdir(tmp_path)) == ["out.aggregates.csv"]
 
 
-def test_installed_entry_point():
+def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "majdyn.cli", "run", "--n", "40", "--p", "0.1",
          "--trials", "2", "--seed", "0"],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, env=_src_env(),
     )
     assert proc.returncode == 0
     assert len(proc.stdout.splitlines()) == 3

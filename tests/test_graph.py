@@ -77,6 +77,27 @@ class TestSampleGnp:
             with pytest.raises(ValueError, match="int32 vertex ids, got 2147483649"):
                 make(2**31 + 1)
 
+    @pytest.mark.parametrize("n", [5.5, 100.0, True, np.True_, "7"],
+                             ids=["fraction", "whole-float", "bool", "numpy-bool", "string"])
+    def test_n_must_be_an_integer(self, monkeypatch, n):
+        # a cast would build a graph on int(n) vertices; each call fails on n
+        # alone, before a generator or the row builder is reached
+        def unreached(*args):
+            raise AssertionError("an allocation was reached")
+
+        monkeypatch.setattr(np.random, "default_rng", unreached)
+        monkeypatch.setattr(graph_module, "_upper_rows", unreached)
+        for make in (lambda: sample_gnp(n, 0.1, 0), lambda: Graph(n, [], []),
+                     lambda: from_edges(n, [])):
+            with pytest.raises(ValueError, match="^n must be an integer, got "):
+                make()
+
+    def test_n_may_be_a_numpy_integer(self):
+        for g in (Graph(np.int64(3), [0, 1, 3, 4], [1, 0, 2, 1]),
+                  from_edges(np.uint32(3), [(0, 1), (1, 2)])):
+            assert (g.n, g.neighbors.tolist()) == (3, [1, 0, 2, 1])
+        assert sample_gnp(np.int32(3), 1.0, 0).edge_count == 3
+
     def test_deterministic_per_seed(self):
         a = sample_gnp(500, 0.02, 99)
         b = sample_gnp(500, 0.02, 99)

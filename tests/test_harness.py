@@ -83,8 +83,15 @@ class TestConfig:
     def test_n_is_held_to_int32_vertex_ids(self):
         # validation allocates nothing, so the limit itself can be tried
         ExperimentConfig(n=2**31, p=1e-12).validate()
+        ExperimentConfig(n=np.int64(2**31), p=1e-12).validate()
         with pytest.raises(ValueError, match="int32 vertex ids, got 2147483649"):
             ExperimentConfig(n=2**31 + 1, p=1e-12).validate()
+
+    @pytest.mark.parametrize("n", [100.0, True], ids=["float", "bool"])
+    def test_n_must_be_an_integer(self, n):
+        # else every trial would fail on n and become an error row
+        with pytest.raises(ValueError, match="^n must be an integer, got "):
+            ExperimentConfig(n=n, p=0.1, trials=2).validate()
 
     def test_validate_catches_bad_fields(self):
         with pytest.raises(ValueError):

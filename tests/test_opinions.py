@@ -314,6 +314,25 @@ class TestCensus:
         with pytest.raises(ValueError):
             census(g, r0, [5], gamma=0.5, p=0.5)
 
+    @pytest.mark.parametrize("swing", [[1.9], [0.5], [True], ["3"], [1, True], np.array([1.0])],
+                             ids=["float", "fraction", "bool", "string", "bool-beside-int",
+                                  "float-array"])
+    def test_rejects_swing_ids_that_are_not_integers(self, swing):
+        # a cast would count vertex 1, 0, 1, 3, 1 and 1
+        g = path_graph(4)
+        r0 = OpinionVector.from_signs(np.array([1, 1, -1, -1]))
+        with pytest.raises(ValueError, match="^swing vertex ids must be integers"):
+            census(g, r0, swing, gamma=0.1, p=0.5)
+
+    @pytest.mark.parametrize("swing", [[3], (3,), np.array([3], dtype=np.uint32)],
+                             ids=["list", "tuple", "uint32-array"])
+    def test_accepts_swing_ids_of_any_integer_type(self, swing):
+        g = path_graph(4)
+        r0 = OpinionVector.from_signs(np.array([1, 1, -1, -1]))
+        rep = census(g, r0, swing, gamma=0.1, p=0.5)
+        assert rep == census(g, r0, np.array([3]), gamma=0.1, p=0.5)
+        assert (rep.unstable, rep.unstable_with_swing) == (2, 1)  # vertices 1, 2; 2 touches 3
+
     @pytest.mark.parametrize("gamma", [math.nan, math.inf])
     def test_rejects_non_finite_gamma(self, gamma):
         g = path_graph(3)
