@@ -41,41 +41,28 @@ from .graph import Graph
 class OpinionVector:
     """One opinion per vertex: a read-only int8 array of +1/-1.
 
-    Vectors are immutable, so :meth:`signs` hands out the stored array
-    without a copy; a caller that wants to change signs copies it first.
-    The constructor takes ownership of an int8 array already known to hold
-    only +-1 and does not check it; :meth:`from_signs` is the checked
-    constructor.
+    The constructor takes a non-empty 1-d array whose values each equal +1
+    or -1 exactly (so 1.5 and NaN are rejected, never truncated) and keeps
+    a read-only int8 copy, which later changes to the input do not reach.
+    :meth:`signs` hands out that copy; a caller that wants to change signs
+    copies it first.
     """
 
     __slots__ = ("n", "_signs")
 
-    def __init__(self, signs: np.ndarray):
-        signs.flags.writeable = False
-        self.n = signs.size
-        self._signs = signs
-
-    @classmethod
-    def from_signs(cls, signs) -> "OpinionVector":
-        """Checked constructor; copies ``signs``, whose values must each
-        equal +1 or -1 exactly."""
+    def __init__(self, signs):
         signs = np.asarray(signs)
         if signs.ndim != 1 or signs.size == 0:
             raise ValueError("need a non-empty 1-d sign array")
         if not np.all((signs == 1) | (signs == -1)):
             raise ValueError("opinions must be +1 or -1")
-        return cls(signs.astype(np.int8))
+        self._signs = signs.astype(np.int8)
+        self._signs.flags.writeable = False
+        self.n = signs.size
 
     def signs(self) -> np.ndarray:
         """The read-only int8 array of +1/-1 values."""
         return self._signs
-
-    def positives(self) -> int:
-        return int(np.count_nonzero(self._signs > 0))
-
-    def bias(self) -> int:
-        """Sum of all opinions, 2*positives - n."""
-        return 2 * self.positives() - self.n
 
     def __eq__(self, other) -> bool:
         return (
@@ -85,7 +72,7 @@ class OpinionVector:
         )
 
     def __repr__(self) -> str:
-        return f"OpinionVector(n={self.n}, bias={self.bias()})"
+        return f"OpinionVector(n={self.n}, bias={int(self._signs.sum(dtype=np.int64))})"
 
 
 # sums are taken from a known state while 8 * (vertices that differ) <= n:
@@ -145,7 +132,7 @@ def majority_step(g: Graph, s: OpinionVector, *, sums: np.ndarray | None = None)
     if s.n != g.n:
         raise ValueError("opinion vector does not match graph size")
     if sums is None:
-        sums = _neighbor_sums(g, s.signs(), s.positives())
+        sums = _neighbor_sums(g, s.signs())
     elif np.shape(sums) != (g.n,):
         raise ValueError("neighbour sums do not match graph size")
     return OpinionVector(_next_signs(sums, s.signs()))

@@ -183,10 +183,12 @@ def _integers(what: str, values) -> np.ndarray:
     unseen.  numpy reads a bool beside an int as 0 or 1, so a list's or
     tuple's bools, in it or in its rows, are found by type."""
     a = np.asarray(values)
-    if a.size and (a.dtype.kind not in "iu" or isinstance(values, (list, tuple)) and any(
-            isinstance(x, (bool, np.bool_))
-            for x in (values if a.ndim == 1 else (x for row in values for x in row)))):
+    if a.size and a.dtype.kind not in "iu":
         raise ValueError(f"{what} must be integers, got dtype {a.dtype}")
+    if a.size and isinstance(values, (list, tuple)) and any(
+            isinstance(x, (bool, np.bool_))
+            for x in (values if a.ndim == 1 else (x for row in values for x in row))):
+        raise ValueError(f"{what} must be integers, got a bool")
     return a
 
 

@@ -200,9 +200,7 @@ def _run_trial(cfg: ExperimentConfig, index: int, shared_graph: Graph | None = N
 
 
 def _quantile(sorted_vals: list[float], q: float) -> float:
-    """Linear-interpolation quantile on a pre-sorted list."""
-    if not sorted_vals:
-        raise ValueError("no values")
+    """Linear-interpolation quantile on a pre-sorted, non-empty list."""
     pos = q * (len(sorted_vals) - 1)
     lo = math.floor(pos)
     hi = math.ceil(pos)

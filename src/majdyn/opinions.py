@@ -134,8 +134,9 @@ def census(g: Graph, r0: OpinionVector, swing_set, gamma: float, p: float) -> Ce
     strict threshold -gamma * p^{3/2} * n with the nominal density ``p``.
     Unstable vertices have day-zero neighbor sum exactly 0;
     ``unstable_with_swing`` counts the unstable vertices adjacent to at
-    least one swing vertex, whose ids must be integers in ``0..n-1``.  The
-    report's ``reference`` carries days 0 and 1 with their sums.
+    least one swing vertex, whose ids must be integers in ``0..n-1``, given
+    as a 1-d sequence or a single id.  The report's ``reference`` carries
+    days 0 and 1 with their sums.
     """
     if r0.n != g.n:
         raise ValueError("opinion vector does not match graph size")
@@ -143,10 +144,12 @@ def census(g: Graph, r0: OpinionVector, swing_set, gamma: float, p: float) -> Ce
         raise ValueError(f"gamma must be finite and non-negative, got {gamma}")
     if not 0.0 < p <= 1.0:
         raise ValueError("p must lie in (0, 1]")
-    swing = _integers("swing vertex ids", swing_set).astype(np.int64, copy=False)
+    swing = np.atleast_1d(_integers("swing vertex ids", swing_set)).astype(np.int64, copy=False)
+    if swing.ndim != 1:
+        raise ValueError(f"swing vertex ids must be 1-D, got shape {swing.shape}")
     if swing.size and (swing.min() < 0 or swing.max() >= g.n):
         raise ValueError("swing vertex id out of range")
-    sums0 = _neighbor_sums(g, r0.signs(), r0.positives())
+    sums0 = _neighbor_sums(g, r0.signs())
     r1 = majority_step(g, r0, sums=sums0)
     sums1 = _neighbor_sums(g, r1.signs())
     sums0.flags.writeable = sums1.flags.writeable = False

@@ -78,7 +78,17 @@ def majority_step_reference(g, s):
         t = neighbor_sum(g, s, v)
         if t != 0:
             out[v] = 1 if t > 0 else -1
-    return OpinionVector.from_signs(out)
+    return OpinionVector(out)
+
+
+def positives(s):
+    """The number of +1 opinions in ``s``."""
+    return int(np.count_nonzero(s.signs() > 0))
+
+
+def bias(s):
+    """The sum of all opinions in ``s``, 2 * positives - n."""
+    return 2 * positives(s) - s.n
 
 
 def hamming(a, b):

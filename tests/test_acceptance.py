@@ -55,7 +55,7 @@ def test_c01_every_small_system_settles():
                 signs = np.array(
                     [1 if bits >> v & 1 else -1 for v in range(n)], dtype=np.int8
                 )
-                traj = run(g, OpinionVector.from_signs(signs), day_cap=50)
+                traj = run(g, OpinionVector(signs), day_cap=50)
                 total += 1
                 if traj.outcome.kind == "day_cap":
                     cap_hits += 1
@@ -73,7 +73,7 @@ def test_c02_optimized_step_matches_reference():
     for _ in range(500):
         n = int(rng.integers(1, 201))
         g = sample_gnp(n, float(rng.uniform(0.0, 0.35)), seed=int(rng.integers(2**31)))
-        s = OpinionVector.from_signs(rng.choice(np.array([-1, 1], dtype=np.int8), size=n))
+        s = OpinionVector(rng.choice(np.array([-1, 1], dtype=np.int8), size=n))
         if majority_step(g, s) != majority_step_reference(g, s):
             mismatches += 1
     _verdict(
@@ -223,7 +223,7 @@ def test_c10_performance_budgets():
         g = sample_gnp(n, p, seed=100 + i)
         sample_best = min(sample_best, time.perf_counter() - t0)
     rng = np.random.default_rng(5)
-    s = OpinionVector.from_signs(rng.choice(np.array([-1, 1], dtype=np.int8), size=n))
+    s = OpinionVector(rng.choice(np.array([-1, 1], dtype=np.int8), size=n))
     majority_step(g, s)  # warm the adjacency cache
     step_best = math.inf
     for _ in range(5):

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     CountingAdjacency,
+    bias,
     complete_graph,
     cycle_graph,
     empty_graph,
@@ -25,6 +26,7 @@ from conftest import (
     neighbor_sum,
     neighbor_sums,
     path_graph,
+    positives,
     star_graph,
     swung_start,
 )
@@ -41,7 +43,7 @@ from majdyn.dynamics import _neighbor_sums
 
 
 def vec(*signs):
-    return OpinionVector.from_signs(np.array(signs, dtype=np.int8))
+    return OpinionVector(np.array(signs, dtype=np.int8))
 
 
 def negated(s):
@@ -49,26 +51,46 @@ def negated(s):
 
 
 class TestOpinionVector:
-    def test_from_signs_round_trip(self):
+    def test_round_trip(self):
         s = vec(1, -1, 1, 1, -1, -1, -1, 1, 1)
         assert list(s.signs()) == [1, -1, 1, 1, -1, -1, -1, 1, 1]
         assert s.n == 9
 
-    def test_rejects_non_signs(self):
-        with pytest.raises(ValueError):
-            OpinionVector.from_signs(np.array([1, 0, -1]))
-        with pytest.raises(ValueError):
-            OpinionVector.from_signs(np.array([], dtype=np.int8))
+    @pytest.mark.parametrize("signs", [
+        np.array([[1, -1], [-1, 1]], dtype=np.int8),
+        np.array([], dtype=np.int8),
+        np.int8(1),
+    ], ids=["2d", "empty", "scalar"])
+    def test_rejects_a_shape_other_than_non_empty_1d(self, signs):
+        with pytest.raises(ValueError, match="non-empty 1-d"):
+            OpinionVector(signs)
 
-    def test_bias_examples(self):
-        assert vec(*[1] * 7).bias() == 7
-        assert vec(*([1] * 4 + [-1] * 4)).bias() == 0
-        assert vec(*([1] * 6 + [-1] * 4)).bias() == 2
-        assert vec(-1).bias() == -1
+    @pytest.mark.parametrize("bad", [0, 3, 1.5, 0.5, -1.2, np.nan])
+    def test_rejects_values_other_than_plus_or_minus_one(self, bad):
+        # a cast to int8 would read 1.5 as 1; nothing is truncated
+        with pytest.raises(ValueError, match="must be \\+1 or -1"):
+            OpinionVector(np.array([bad, -1.0, 1.0]))
 
-    def test_positives_counts_the_plus_ones(self):
-        s = vec(*([1] * 13 + [-1] * 4))
-        assert s.positives() == 13
+    def test_the_all_zero_state_is_rejected_when_built(self):
+        # it once ran as unanimous -1 with day-0 bias -6, though it sums to 0
+        with pytest.raises(ValueError):
+            OpinionVector(np.zeros(6, dtype=np.int8))
+
+    def test_accepts_exact_signs_of_any_dtype(self):
+        for signs in ([1, -1, 1], np.array([1.0, -1.0, 1.0]), np.array([1, -1, 1], dtype=np.int64)):
+            s = OpinionVector(signs)
+            assert s.signs().dtype == np.int8
+            assert s == vec(1, -1, 1)
+
+    def test_bias_and_positives_examples(self):
+        assert bias(vec(*[1] * 7)) == 7
+        assert bias(vec(*([1] * 4 + [-1] * 4))) == 0
+        assert bias(vec(*([1] * 6 + [-1] * 4))) == 2
+        assert bias(vec(-1)) == -1
+        assert positives(vec(*([1] * 13 + [-1] * 4))) == 13
+
+    def test_repr_shows_the_size_and_the_sum(self):
+        assert repr(vec(1, 1, -1, 1)) == "OpinionVector(n=4, bias=2)"
 
     def test_equality(self):
         a = vec(1, -1, 1, -1, 1)
@@ -77,16 +99,12 @@ class TestOpinionVector:
         assert a != b
         assert a != vec(1, -1, 1, -1)
 
-    @pytest.mark.parametrize("bad", [1.5, 0.5, -1.2, np.nan])
-    def test_rejects_non_integer_values(self, bad):
-        with pytest.raises(ValueError):
-            OpinionVector.from_signs(np.array([bad, -1.0, 1.0]))
-
-    def test_from_signs_copies_its_input(self):
+    def test_copies_its_input(self):
         given_signs = np.array([1, -1, 1], dtype=np.int8)
-        s = OpinionVector.from_signs(given_signs)
+        s = OpinionVector(given_signs)
         given_signs[0] = -1
         assert list(s.signs()) == [1, -1, 1]
+        assert given_signs.flags.writeable  # the caller's array is left as it was
 
     def test_signs_are_read_only(self):
         s = vec(1, -1, 1)
@@ -98,10 +116,10 @@ class TestOpinionVector:
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.sampled_from([-1, 1]), min_size=1, max_size=200))
     def test_signs_round_trip(self, signs):
-        s = OpinionVector.from_signs(np.array(signs, dtype=np.int8))
+        s = OpinionVector(np.array(signs, dtype=np.int8))
         assert list(s.signs()) == signs
-        assert s.bias() == sum(signs)
-        assert s.positives() == signs.count(1)
+        assert bias(s) == sum(signs)
+        assert positives(s) == signs.count(1)
 
 
 class TestNeighborSums:
@@ -133,7 +151,7 @@ class TestDegreeSizedSums:
         g = star_graph(leaves)
         signs = np.full(leaves + 1, leaf_sign, dtype=np.int8)
         signs[0] = -leaf_sign
-        s = OpinionVector.from_signs(signs)
+        s = OpinionVector(signs)
         sums = _neighbor_sums(g, s.signs())
         assert g._adjacency.dtype == sums.dtype == dtype
         assert np.array_equal(sums, neighbor_sums(g, s))
@@ -196,6 +214,10 @@ class TestMajorityStep:
         majority_step(g, s)
         assert s == vec(1, -1, 1)
 
+    def test_rejects_an_opinion_vector_of_another_size(self):
+        with pytest.raises(ValueError, match="opinion vector does not match graph size"):
+            majority_step(path_graph(4), vec(1, -1, 1))
+
     @settings(max_examples=60, deadline=None)
     @given(
         n=st.integers(min_value=1, max_value=50),
@@ -222,8 +244,8 @@ class TestMajorityStep:
         if neg.size:
             ups = rng.choice(neg, size=rng.integers(1, neg.size + 1), replace=False)
             hi[ups] = 1
-        out_lo = majority_step(g, OpinionVector.from_signs(lo)).signs()
-        out_hi = majority_step(g, OpinionVector.from_signs(hi)).signs()
+        out_lo = majority_step(g, OpinionVector(lo)).signs()
+        out_hi = majority_step(g, OpinionVector(hi)).signs()
         assert np.all(out_lo <= out_hi)
 
     @settings(max_examples=60, deadline=None)
@@ -297,7 +319,7 @@ class TestRun:
             if d > 0:
                 nxt = majority_step(g, cur)
                 assert rec.flips == hamming(nxt, cur)
-                assert rec.positives == nxt.positives()
+                assert rec.positives == positives(nxt)
                 cur = nxt
 
     def test_unanimity_is_absorbing_in_records(self):
@@ -325,7 +347,7 @@ def with_minority(n, k, majority, seed):
     """A state with exactly ``k`` vertices of sign -majority at random."""
     signs = np.full(n, majority, dtype=np.int8)
     signs[np.random.default_rng(seed).choice(n, size=k, replace=False)] = -majority
-    return OpinionVector.from_signs(signs)
+    return OpinionVector(signs)
 
 
 def counted_sums(g, signs, positives=None, known=()):
@@ -349,7 +371,7 @@ def row_blocks(k, n):
 def uses_minority_side(g, s):
     # the minority's rows gathered and no full product
     _, gathers, products = counted_sums(g, s.signs())
-    return gathers == row_blocks(min(s.positives(), s.n - s.positives()), s.n) and products == 0
+    return gathers == row_blocks(min(positives(s), s.n - positives(s)), s.n) and products == 0
 
 
 class TestMinoritySideStep:
@@ -374,16 +396,16 @@ class TestMinoritySideStep:
         # the centre alone in the minority: it turns, every leaf follows it
         signs = np.ones(n, dtype=np.int8)
         signs[0] = -1
-        s = OpinionVector.from_signs(signs)
+        s = OpinionVector(signs)
         assert uses_minority_side(g, s)
         assert majority_step(g, s) == majority_step_reference(g, s)
         assert list(majority_step(g, s).signs()) == [1] + [-1] * leaves
         # one leaf in the minority: only that leaf turns
         signs = np.ones(n, dtype=np.int8)
         signs[leaves] = -1
-        s = OpinionVector.from_signs(signs)
+        s = OpinionVector(signs)
         assert majority_step(g, s) == majority_step_reference(g, s)
-        assert majority_step(g, s) == OpinionVector.from_signs(np.ones(n, dtype=np.int8))
+        assert majority_step(g, s) == OpinionVector(np.ones(n, dtype=np.int8))
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_single_vertex(self, sign):
@@ -408,13 +430,13 @@ class TestMinoritySideStep:
         g = from_edges(32, [(i, (i + 1) % 30) for i in range(30)])
         signs = np.ones(32, dtype=np.int8)
         signs[[30, 31]] = -1
-        s = OpinionVector.from_signs(signs)
+        s = OpinionVector(signs)
         assert uses_minority_side(g, s)
         assert majority_step(g, s) == s == majority_step_reference(g, s)
         # isolated majority vertices keep their sign too
         signs[[30, 31]] = [1, -1]
         signs[5] = -1
-        s = OpinionVector.from_signs(signs)
+        s = OpinionVector(signs)
         assert majority_step(g, s) == majority_step_reference(g, s)
 
     def test_minority_clique_is_a_fixed_point(self):
@@ -425,7 +447,7 @@ class TestMinoritySideStep:
         g = from_edges(64, edges)
         signs = np.ones(64, dtype=np.int8)
         signs[:4] = -1
-        s = OpinionVector.from_signs(signs)
+        s = OpinionVector(signs)
         assert uses_minority_side(g, s)
         assert majority_step(g, s) == s == majority_step_reference(g, s)
         traj = run(g, s, day_cap=10)
@@ -435,7 +457,7 @@ class TestMinoritySideStep:
     def test_unanimous_state_is_fixed(self):
         g = sample_gnp(300, 0.05, 8)
         for sign in (1, -1):
-            s = OpinionVector.from_signs(np.full(300, sign, dtype=np.int8))
+            s = OpinionVector(np.full(300, sign, dtype=np.int8))
             assert majority_step(g, s) == s == majority_step_reference(g, s)
             traj = run(g, s, day_cap=3)
             assert traj.days[1] == traj.days[0]
@@ -447,15 +469,15 @@ def reference_run(g, s0, day_cap, step=majority_step_reference):
     reference step: the list of (bias, flips, positives) per day, the
     outcome fields, and the states stepped through."""
     states = [s0]
-    first_unanimous = 0 if s0.positives() in (0, g.n) else None
+    first_unanimous = 0 if positives(s0) in (0, g.n) else None
     for d in range(1, day_cap + 1):
         nxt = step(g, states[-1])
         states.append(nxt)
-        if first_unanimous is None and nxt.positives() in (0, g.n):
+        if first_unanimous is None and positives(nxt) in (0, g.n):
             first_unanimous = d
         if nxt == states[-2]:
             if first_unanimous is not None:
-                outcome = ("unanimous", first_unanimous, 1 if nxt.positives() else -1, 0)
+                outcome = ("unanimous", first_unanimous, 1 if positives(nxt) else -1, 0)
             else:
                 outcome = ("period_two", d, 0, 1)
             break
@@ -464,8 +486,8 @@ def reference_run(g, s0, day_cap, step=majority_step_reference):
             break
     else:
         outcome = ("day_cap", day_cap, 0, 0)
-    days = [(states[0].bias(), 0, states[0].positives())]
-    days += [(b.bias(), hamming(b, a), b.positives()) for a, b in zip(states, states[1:])]
+    days = [(bias(states[0]), 0, positives(states[0]))]
+    days += [(bias(b), hamming(b, a), positives(b)) for a, b in zip(states, states[1:])]
     return days, outcome, states
 
 
@@ -541,7 +563,7 @@ class TestKnownSums:
             known = flipped(s, k, k)
             sums = neighbor_sums(g, known)
             got, gathers, products = counted_sums(
-                g, s.signs(), s.positives(), [(known.signs(), sums)]
+                g, s.signs(), positives(s), [(known.signs(), sums)]
             )
             # a balanced state has no small minority, so rows gathered, or
             # the known sums handed back, came from the known state
@@ -574,7 +596,7 @@ class TestKnownSums:
         known_sums = g._adjacency @ known.signs().astype(np.int64)
         counter = CountingAdjacency(g._adjacency)
         g.__dict__["_adjacency"] = counter
-        got = _neighbor_sums(g, s.signs(), s.positives(), [(known.signs(), known_sums)])
+        got = _neighbor_sums(g, s.signs(), positives(s), [(known.signs(), known_sums)])
         assert np.array_equal(got, expected)
         # the rows gathered are the chosen state's distance; at distance 0
         # the known state hands back its own sums
@@ -611,7 +633,7 @@ def sum_paths(states, reference):
     paths = []
     for d in range(1, len(states)):
         cur = states[d - 1]
-        pos = cur.positives()
+        pos = positives(cur)
         if pos in (0, n):  # unanimity is confirmed without a step
             break
         near = [("two_back", hamming(cur, states[d - 3]))] if d >= 3 else []

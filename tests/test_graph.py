@@ -420,6 +420,13 @@ class TestFromEdges:
         with pytest.raises(ValueError, match="edge endpoints must be integers"):
             from_edges(3, edges)
 
+    @pytest.mark.parametrize("edges", [[(0, True)], [(0, 1), (np.True_, 2)]],
+                             ids=["bool-beside-int", "numpy-bool-in-a-later-row"])
+    def test_names_a_bool_beside_an_int(self, edges):
+        # numpy reads such a list as int64, so the message names the bool
+        with pytest.raises(ValueError, match="^edge endpoints must be integers, got a bool$"):
+            from_edges(3, edges)
+
     @pytest.mark.parametrize("edges", [
         [(0, 1), (2, 1)],
         np.array([[0, 1], [2, 1]], dtype=np.uint32),
@@ -525,6 +532,12 @@ class TestGraphInit:
     def test_rejects_arrays_that_are_not_1d(self, offsets, neighbors, what):
         with pytest.raises(ValueError, match=f"^{what} must be 1-D, got shape "):
             Graph(2, offsets, neighbors)
+
+    @pytest.mark.parametrize("n, offsets", [(3, [0, 1, 2]), (1, [0, 1, 2])],
+                             ids=["one-short", "one-long"])
+    def test_rejects_offsets_of_another_length(self, n, offsets):
+        with pytest.raises(ValueError, match=re.escape("offsets must have length n + 1")):
+            Graph(n, offsets, [0, 0] if n == 1 else [1, 0])
 
     def test_unpickling_checks_the_shape_too(self):
         state = path_graph(3).__getstate__()
@@ -663,6 +676,11 @@ class TestEstimateJumbledness:
         # one vertex leaves no room for two disjoint subsets of size 1
         with pytest.raises(ValueError, match=re.escape("(2*max <= n)")):
             estimate_jumbledness(empty_graph(1), 0.5)
+
+    @pytest.mark.parametrize("p", [-0.1, 1.5, math.nan])
+    def test_rejects_a_density_outside_the_unit_interval(self, p):
+        with pytest.raises(ValueError, match=re.escape("p must lie in [0, 1]")):
+            estimate_jumbledness(empty_graph(10), p)
 
 
 class TestSerialization:
@@ -829,7 +847,7 @@ class TestPickling:
     def test_cached_views_stay_out_of_the_pickle(self):
         g = sample_gnp(2000, 0.01, 3)
         before = len(pickle.dumps(g))
-        s = OpinionVector.from_signs(np.where(np.arange(g.n) % 3 == 0, 1, -1).astype(np.int8))
+        s = OpinionVector(np.where(np.arange(g.n) % 3 == 0, 1, -1).astype(np.int8))
         step = majority_step(g, s)
         assert g.degrees.size == g.n
         blob = pickle.dumps(g)

@@ -80,6 +80,12 @@ class TestConfig:
         with pytest.raises(ValueError, match="^p_spec .* overflows a float at n=100$"):
             cfg.validate()
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_regime_density_needs_two_vertices(self, n):
+        # log(1) = 0 and log(0) is undefined, so the formula has no density there
+        with pytest.raises(ValueError, match="regime densities need n >= 2"):
+            PSpec.lower().resolve(n)
+
     def test_n_is_held_to_int32_vertex_ids(self):
         # validation allocates nothing, so the limit itself can be tried
         ExperimentConfig(n=2**31, p=1e-12).validate()
@@ -98,6 +104,8 @@ class TestConfig:
             small_cfg(trials=0).validate()
         with pytest.raises(ValueError):
             small_cfg(day_cap=0).validate()
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            small_cfg(workers=0).validate()
         with pytest.raises(ValueError):
             small_cfg(gamma=-0.1).validate()
         with pytest.raises(ValueError):

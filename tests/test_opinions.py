@@ -16,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    complete_graph, empty_graph, neighbor_sums, neighbors_of, path_graph, star_graph, swung_start,
+    bias, complete_graph, empty_graph, neighbor_sums, neighbors_of, path_graph, positives, star_graph,
+    swung_start,
 )
 from majdyn import (
     OpinionModel,
@@ -36,7 +37,7 @@ from majdyn import (
 
 class TestSampleUniform:
     def test_single_vertex(self):
-        assert sample_uniform(1, 0).bias() in (-1, 1)
+        assert bias(sample_uniform(1, 0)) in (-1, 1)
 
     def test_deterministic(self):
         assert sample_uniform(50, 3) == sample_uniform(50, 3)
@@ -44,12 +45,12 @@ class TestSampleUniform:
     def test_deviation_probability_matches_normal_tail(self):
         # P[|bias| >= sqrt(n)] tends to 2*psi(1) for iid signs
         n, reps = 10**4, 200
-        hits = sum(1 for s in range(reps) if abs(sample_uniform(n, s).bias()) >= math.sqrt(n))
+        hits = sum(1 for s in range(reps) if abs(bias(sample_uniform(n, s))) >= math.sqrt(n))
         assert abs(hits / reps - 2.0 * psi(1.0)) <= 0.1
 
     def test_mean_bias_near_zero(self):
         n, reps = 10**4, 200
-        mean = np.mean([sample_uniform(n, s).bias() for s in range(reps)])
+        mean = np.mean([bias(sample_uniform(n, s)) for s in range(reps)])
         assert abs(mean) <= 4.0 * math.sqrt(n / reps)
 
 
@@ -57,11 +58,11 @@ class TestSampleMorning:
     def test_exact_positive_count(self):
         for n in (1, 2, 5, 100, 101):
             s = sample_morning(n, 9)
-            assert s.positives() == (n + 1) // 2
+            assert positives(s) == (n + 1) // 2
 
     def test_bias_parity(self):
-        assert sample_morning(4, 0).bias() == 0
-        assert sample_morning(5, 0).bias() == 1
+        assert bias(sample_morning(4, 0)) == 0
+        assert bias(sample_morning(5, 0)) == 1
 
     def test_positions_vary_with_seed(self):
         assert sample_morning(100, 1) != sample_morning(100, 2)
@@ -70,7 +71,7 @@ class TestSampleMorning:
 class TestFixedDiscrepancy:
     def test_exact_bias(self):
         for d in (-4, 0, 2, 100):
-            assert sample_fixed_discrepancy(100, d, 5).bias() == d
+            assert bias(sample_fixed_discrepancy(100, d, 5)) == d
 
     def test_rejects_parity_mismatch(self):
         with pytest.raises(ValueError):
@@ -97,7 +98,7 @@ class TestApplySwing:
         r0 = sample_morning(100, 3)
         swung, swing = apply_swing(r0, 1.0, 4)
         assert swing.size == 10
-        assert swung.bias() == r0.bias() + 20
+        assert bias(swung) == bias(r0) + 20
         base, new = r0.signs(), swung.signs()
         assert np.all(base[swing] == -1)
         assert np.all(new[swing] == 1)
@@ -113,7 +114,7 @@ class TestApplySwing:
         assert apply_swing(r0, 0.0, 4)[0] is r0  # vectors are immutable
 
     def test_rejects_when_not_enough_negatives(self):
-        all_plus = OpinionVector.from_signs(np.ones(100, dtype=np.int8))
+        all_plus = OpinionVector(np.ones(100, dtype=np.int8))
         with pytest.raises(ValueError):
             apply_swing(all_plus, 1.0, 0)
 
@@ -127,7 +128,7 @@ class TestApplySwing:
         swung, _ = apply_swing(r0, 1.0, seed + 2)
         plain, pert = r0, swung
         for _ in range(5):
-            assert pert.bias() >= plain.bias()
+            assert bias(pert) >= bias(plain)
             plain = majority_step(g, plain)
             pert = majority_step(g, pert)
 
@@ -140,12 +141,12 @@ class TestSampleInitial:
         assert s.n == 50 and set(s.signs()) <= {-1, 1}
 
     def test_fixed_kind(self):
-        assert sample_fixed_discrepancy(50, 4, 1).bias() == 4
+        assert bias(sample_fixed_discrepancy(50, 4, 1)) == 4
 
     def test_morning_kind(self):
         s, swing = apply_swing(sample_morning(100, 1), 1.0, 2)
         assert swing.size == 10
-        assert s.bias() == 20  # ceil(n/2) positives plus 10 flips
+        assert bias(s) == 20  # ceil(n/2) positives plus 10 flips
 
     @pytest.mark.parametrize("sample", [
         lambda n: sample_uniform(n, 0),
@@ -190,11 +191,17 @@ class TestSampleInitial:
         with pytest.raises(ValueError, match="c must be finite and non-negative, got -0.5"):
             OpinionModel(kind, c=-0.5).validate(100)
 
+    def test_rejects_a_swing_larger_than_the_minus_ones(self):
+        # n=4 starts with two -1 vertices: c=1 swings both, c=2 would swing 4
+        OpinionModel("morning_evening", c=1.0).validate(4)
+        with pytest.raises(ValueError, match="swing larger than the available -1 vertices"):
+            OpinionModel("morning_evening", c=2.0).validate(4)
+
 
 class TestCensus:
     def test_path_hand_computed(self):
         g = path_graph(3)
-        r0 = OpinionVector.from_signs(np.array([1, -1, 1]))
+        r0 = OpinionVector(np.array([1, -1, 1]))
         rep = census(g, r0, np.array([], dtype=np.int64), gamma=1.0, p=0.5)
         assert rep.almost_positive == 2  # day-one sums (+1, -2, +1) vs -1.06
         assert rep.unstable == 0
@@ -216,7 +223,7 @@ class TestCensus:
         # 0-1-2 path with r0 = (+,+,-): day-zero sums are (1, 0, 1), so
         # vertex 1 is the only unstable vertex and its neighbors are 0 and 2
         g = path_graph(3)
-        r0 = OpinionVector.from_signs(np.array([1, 1, -1]))
+        r0 = OpinionVector(np.array([1, 1, -1]))
         rep = census(g, r0, np.array([0]), gamma=0.1, p=0.5)
         assert rep.unstable == 1
         assert rep.unstable_with_swing == 1  # vertex 1 is adjacent to swing vertex 0
@@ -229,7 +236,7 @@ class TestCensus:
         # 128 leaves: the centre's day-one sum of +-128 does not fit in int8
         g = star_graph(128)
         none = np.array([], dtype=np.int64)
-        plus = OpinionVector.from_signs(np.ones(129, dtype=np.int8))
+        plus = OpinionVector(np.ones(129, dtype=np.int8))
         rep = census(g, plus, none, gamma=0.0, p=0.5)
         assert (rep.almost_positive, rep.unstable, rep.excess) == (129, 0, 64)
         rep = census(g, OpinionVector(-plus.signs()), none, gamma=0.0, p=0.5)
@@ -238,13 +245,13 @@ class TestCensus:
         # keeps +1, turning every leaf + on day one
         signs = np.ones(129, dtype=np.int8)
         signs[65:] = -1
-        rep = census(g, OpinionVector.from_signs(signs), np.array([5]), gamma=0.0, p=0.5)
+        rep = census(g, OpinionVector(signs), np.array([5]), gamma=0.0, p=0.5)
         assert (rep.almost_positive, rep.unstable, rep.unstable_with_swing) == (129, 1, 1)
 
     def test_gamma_zero_uses_strict_positive(self):
         # all day-one sums are 0 on the empty graph: strictly > 0 fails
         g = empty_graph(4)
-        r0 = OpinionVector.from_signs(np.array([1, 1, -1, -1]))
+        r0 = OpinionVector(np.array([1, 1, -1, -1]))
         rep = census(g, r0, np.array([], dtype=np.int64), gamma=0.0, p=0.5)
         assert rep.almost_positive == 0
 
@@ -297,7 +304,7 @@ class TestCensus:
         assert np.array_equal(signs0, r0.signs())
         assert np.array_equal(signs1, majority_step(g, r0).signs())
         assert np.array_equal(sums0, neighbor_sums(g, r0))
-        assert np.array_equal(sums1, neighbor_sums(g, OpinionVector.from_signs(signs1)))
+        assert np.array_equal(sums1, neighbor_sums(g, OpinionVector(signs1)))
         assert not any(a.flags.writeable for pair in rep.reference for a in pair)
         # the arrays stay out of equality and the repr
         assert rep == dataclasses.replace(rep, reference=())
@@ -306,7 +313,7 @@ class TestCensus:
 
     def test_rejects_bad_arguments(self):
         g = path_graph(3)
-        r0 = OpinionVector.from_signs(np.array([1, -1, 1]))
+        r0 = OpinionVector(np.array([1, -1, 1]))
         with pytest.raises(ValueError):
             census(g, r0, [], gamma=-1.0, p=0.5)
         with pytest.raises(ValueError):
@@ -320,7 +327,7 @@ class TestCensus:
     def test_rejects_swing_ids_that_are_not_integers(self, swing):
         # a cast would count vertex 1, 0, 1, 3, 1 and 1
         g = path_graph(4)
-        r0 = OpinionVector.from_signs(np.array([1, 1, -1, -1]))
+        r0 = OpinionVector(np.array([1, 1, -1, -1]))
         with pytest.raises(ValueError, match="^swing vertex ids must be integers"):
             census(g, r0, swing, gamma=0.1, p=0.5)
 
@@ -328,22 +335,48 @@ class TestCensus:
                              ids=["list", "tuple", "uint32-array"])
     def test_accepts_swing_ids_of_any_integer_type(self, swing):
         g = path_graph(4)
-        r0 = OpinionVector.from_signs(np.array([1, 1, -1, -1]))
+        r0 = OpinionVector(np.array([1, 1, -1, -1]))
         rep = census(g, r0, swing, gamma=0.1, p=0.5)
         assert rep == census(g, r0, np.array([3]), gamma=0.1, p=0.5)
         assert (rep.unstable, rep.unstable_with_swing) == (2, 1)  # vertices 1, 2; 2 touches 3
 
+    @pytest.mark.parametrize("swing", [[1, True], (np.True_, 2)], ids=["list", "tuple"])
+    def test_names_a_bool_beside_an_int(self, swing):
+        # numpy reads such a list as int64, so the message names the bool
+        g = path_graph(4)
+        r0 = OpinionVector(np.array([1, 1, -1, -1]))
+        with pytest.raises(ValueError, match="^swing vertex ids must be integers, got a bool$"):
+            census(g, r0, swing, gamma=0.1, p=0.5)
+
+    @pytest.mark.parametrize("swing", [[[1, 2]], np.array([[1], [2]]), [[]]],
+                             ids=["nested-list", "column", "empty-row"])
+    def test_rejects_swing_ids_that_are_not_1d(self, swing):
+        g = path_graph(4)
+        r0 = OpinionVector(np.array([1, 1, -1, -1]))
+        with pytest.raises(ValueError, match="^swing vertex ids must be 1-D, got shape "):
+            census(g, r0, swing, gamma=0.1, p=0.5)
+
+    @pytest.mark.parametrize("swing", [3, np.int32(3)], ids=["int", "numpy-int"])
+    def test_a_bare_id_is_one_id(self, swing):
+        g = path_graph(4)
+        r0 = OpinionVector(np.array([1, 1, -1, -1]))
+        assert census(g, r0, swing, gamma=0.1, p=0.5) == census(g, r0, [3], gamma=0.1, p=0.5)
+
+    def test_rejects_an_opinion_vector_of_another_size(self):
+        with pytest.raises(ValueError, match="opinion vector does not match graph size"):
+            census(path_graph(4), OpinionVector(np.array([1, -1, 1])), [], gamma=0.1, p=0.5)
+
     @pytest.mark.parametrize("gamma", [math.nan, math.inf])
     def test_rejects_non_finite_gamma(self, gamma):
         g = path_graph(3)
-        r0 = OpinionVector.from_signs(np.array([1, -1, 1]))
+        r0 = OpinionVector(np.array([1, -1, 1]))
         with pytest.raises(ValueError, match="gamma must be finite"):
             census(g, r0, [], gamma=gamma, p=0.5)
 
 
 def day2_bias(g, c, seed):
     """The opinion sum two majority days after a swung balanced start."""
-    return majority_step(g, majority_step(g, swung_start(g.n, c, seed))).bias()
+    return bias(majority_step(g, majority_step(g, swung_start(g.n, c, seed))))
 
 
 class TestDay2Bias:

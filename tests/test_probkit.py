@@ -9,6 +9,7 @@ quadrature of the normal density for the CDF helpers.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -126,6 +127,16 @@ class TestNormalCdf:
 
 
 class TestBinomDiffPmf:
+    @pytest.mark.parametrize("trials, prob, message", [
+        (-1, 0.5, "trials must be non-negative"),
+        (3, 1.5, re.escape("prob must lie in [0, 1]")),
+        (3, -0.1, re.escape("prob must lie in [0, 1]")),
+        (3, math.nan, re.escape("prob must lie in [0, 1]")),
+    ], ids=["negative-trials", "prob-above-1", "prob-below-0", "prob-nan"])
+    def test_spec_rejects_bad_parameters(self, trials, prob, message):
+        with pytest.raises(ValueError, match=message):
+            BinomSpec(trials, prob)
+
     def test_zero_trials_point_mass(self):
         pmf = binom_diff_pmf(BinomSpec(0, 0.5), BinomSpec(0, 0.5))
         assert pmf.support_offset == 0
@@ -178,6 +189,10 @@ class TestBinomShift:
         with pytest.raises(ValueError):
             check_binom_shift(BinomSpec(5, 1.0), BinomSpec(5, 1.0))
 
+    def test_rejects_two_empty_variables(self):
+        with pytest.raises(ValueError, match="need at least one trial in total"):
+            check_binom_shift(BinomSpec(0, 0.5), BinomSpec(0, 0.5))
+
     def test_normalized_ratio_bounded_across_sizes(self):
         # pilot-pinned: max diff times (m+n)p(1-p) stays below 1
         for n in (50, 100, 200, 500):
@@ -196,6 +211,10 @@ class TestEqualityProb:
         for n, p in ((10, 0.2), (55, 0.5), (300, 0.04)):
             _, p_ge, _ = check_equality_prob(BinomSpec(n, p), BinomSpec(n, p))
             assert p_ge >= 0.5
+
+    def test_rejects_mismatched_p(self):
+        with pytest.raises(ValueError, match="must share the success probability"):
+            check_equality_prob(BinomSpec(5, 0.4), BinomSpec(5, 0.5))
 
     def test_ratio_band_small_density(self):
         # pilot-pinned band for the sqrt(np)-normalized equality probability
@@ -297,8 +316,9 @@ class TestCoupling:
 
 class TestFourRv:
     def test_identical_pairs_no_gap(self):
+        # both laws are built from the same inputs, so they agree exactly
         diff, scale = check_four_rv(100, 80, 100, 80, 0.1, 3)
-        assert diff == pytest.approx(0.0, abs=1e-15)
+        assert diff == 0.0
         assert scale == 0.0
 
     def test_shifted_pair_within_pinned_constant(self):
@@ -319,6 +339,16 @@ class TestFourRv:
             diff, scale = check_four_rv(*ns, p, ell)
             if scale > 0:
                 assert diff <= 3.0 * scale
+
+    @pytest.mark.parametrize("ns, p, message", [
+        ((0, 80, 100, 80), 0.1, "all four trial counts must be positive"),
+        ((100, 80, 100, -1), 0.1, "all four trial counts must be positive"),
+        ((100, 80, 100, 80), 0.0, re.escape("p must lie strictly inside (0, 1)")),
+        ((100, 80, 100, 80), 1.0, re.escape("p must lie strictly inside (0, 1)")),
+    ], ids=["n1-zero", "n4-negative", "p-zero", "p-one"])
+    def test_rejects_bad_parameters(self, ns, p, message):
+        with pytest.raises(ValueError, match=message):
+            check_four_rv(*ns, p, 0)
 
 
 class TestBerryEsseen:
@@ -366,6 +396,10 @@ class TestLemmaSweeps:
         assert results["binom-shift"].cases == 25
         assert results["coupling-sandwich"].cases == 25
         assert results["four-rv"].cases == 25
+
+    def test_rejects_no_cases(self):
+        with pytest.raises(ValueError, match="max_cases must be at least 1"):
+            run_lemma_sweeps(max_cases=0)
 
 
 class TestBinomMasses:

@@ -17,9 +17,6 @@ PACKAGE = ROOT / "src" / "majdyn"
 
 # graph API for building a graph by hand, kept with no caller of its own
 KEPT_WITHOUT_A_CALLER = {"from_edges"}
-# the checked constructor for opinions from outside the library, which the
-# README's example uses
-MEMBERS_KEPT_WITHOUT_A_READER = {"OpinionVector.from_signs"}
 
 
 def exported_names() -> set[str]:
@@ -107,6 +104,4 @@ def test_every_member_of_an_exported_class_has_a_reader():
         f"{cls.name}.{member}" for cls in classes for member in public_members(cls)
         if not any(reads_member(tree, cls.name, member) for tree in trees)
     )
-    assert [name for name in unread if name not in MEMBERS_KEPT_WITHOUT_A_READER] == []
-    # an exception that gains a reader, or loses its member, leaves the list
-    assert MEMBERS_KEPT_WITHOUT_A_READER <= set(unread)
+    assert unread == []
