@@ -11,7 +11,7 @@ Every trajectory eventually becomes periodic with period one or two, so
 or hitting the day cap.
 
 The step takes its neighbour sums from the nearest state whose sums are
-known when it differs from the signs on at most n/8 vertices, and from one
+known when it differs from the signs on at most n/4 vertices, and from one
 sparse matvec otherwise.  Known are the caller's states (a census hands
 :func:`run` its un-swung days 0 and 1), in :func:`run` the state two days
 back (next to a two-cycle, days two apart differ on few vertices though
@@ -21,10 +21,11 @@ vertex u in the differing set D holds -known[u], so the sums are known +
 taken in the adjacency's dtype, the narrowest signed integer holding
 -deg..deg for the graph's maximum degree (int8 at the paper's densities);
 every sum lies in that range, so sums taken modulo the dtype's width are
-exact.  Best of 21 on a 2-core Xeon at mean degree 20, the delta way took
-8.7, 12.5 and 21.3 ms at |D| = n/16, n/8 and n/4 against a 28.7 ms matvec
-at n=10^6, and 1.15, 1.68 and 3.30 against 3.65 ms at n=10^5, copying
-6.5 MB of rows per n/16 block.
+exact.  Best of 15 on a 2-core Xeon, gathering about 2^20 entries at a
+time, the delta way took 0.35-0.44, 0.57-0.68 and 0.69-0.75 of a matvec at
+|D| = n/8, n/5 and n/4, and 0.88-0.97 at n/3, at mean degree 20 (n=10^5
+and 10^6, int8; a 2.0 and a 25.5 ms matvec), 400 (n=2*10^4) and 1500
+(n=5000, both int16); it breaks even near 0.4n.
 
 A unanimous state is fixed (every vertex sees M*deg, and an isolated one
 keeps M), so :func:`run` records its confirmation day without a step.
@@ -38,14 +39,35 @@ import numpy as np
 
 from .graph import Graph
 
+
+def _check_signs(signs: np.ndarray) -> None:
+    """ValueError unless every value of ``signs`` is exactly +1 or -1 in an
+    integer or float dtype.  numpy reads True as 1, and a complex value can
+    have modulus 1 off the real line, so those dtypes are refused as such."""
+    if signs.dtype.kind not in "iuf":
+        raise ValueError(f"opinions must be +1 or -1, got dtype {signs.dtype}")
+    if not np.all(np.abs(signs) == 1):
+        raise ValueError("opinions must be +1 or -1")
+
+
+def _check_sums(sums, n: int) -> None:
+    """ValueError unless ``sums`` is a signed-integer array of ``n`` values:
+    a float or an unsigned sum would take the wrong sign, or none."""
+    if not isinstance(sums, np.ndarray) or sums.dtype.kind != "i":
+        raise ValueError("neighbour sums must be a signed-integer array, got "
+                         f"{getattr(sums, 'dtype', type(sums).__name__)}")
+    if sums.shape != (n,):
+        raise ValueError("neighbour sums do not match graph size")
+
+
 class OpinionVector:
     """One opinion per vertex: a read-only int8 array of +1/-1.
 
-    The constructor takes a non-empty 1-d array whose values each equal +1
-    or -1 exactly (so 1.5 and NaN are rejected, never truncated) and keeps
-    a read-only int8 copy, which later changes to the input do not reach.
-    :meth:`signs` hands out that copy; a caller that wants to change signs
-    copies it first.
+    The constructor takes a non-empty 1-d integer or float array whose
+    values each equal +1 or -1 exactly (so 1.5, NaN and bools are rejected,
+    never truncated or read as 1) and keeps a read-only int8 copy, which
+    later changes to the input do not reach.  :meth:`signs` hands out that
+    copy; a caller that wants to change signs copies it first.
     """
 
     __slots__ = ("n", "_signs")
@@ -54,8 +76,7 @@ class OpinionVector:
         signs = np.asarray(signs)
         if signs.ndim != 1 or signs.size == 0:
             raise ValueError("need a non-empty 1-d sign array")
-        if not np.all((signs == 1) | (signs == -1)):
-            raise ValueError("opinions must be +1 or -1")
+        _check_signs(signs)
         self._signs = signs.astype(np.int8)
         self._signs.flags.writeable = False
         self.n = signs.size
@@ -75,9 +96,19 @@ class OpinionVector:
         return f"OpinionVector(n={self.n}, bias={int(self._signs.sum(dtype=np.int64))})"
 
 
-# sums are taken from a known state while 8 * (vertices that differ) <= n:
-# there the delta way costs under half a matvec, and at n/4 nearly a whole one
-_DELTA_SHARE = 8
+# sums are taken from a known state while 4 * (vertices that differ) <= n:
+# there the delta way costs at most about 0.75 of a matvec, at n/3 nearly a
+# whole one, which leaves no margin
+_DELTA_SHARE = 4
+# entries of the adjacency gathered at a time, about 5 MB of int8 values
+# and int32 ids: malloc's mmap threshold rises to the largest block freed
+_GATHER_ENTRIES = 2**20
+
+
+def _rows_per_gather(g: Graph) -> int:
+    """Rows of the delta's product gathered at a time: ``_GATHER_ENTRIES``
+    entries at the graph's mean row length, and at least one row."""
+    return _GATHER_ENTRIES * g.n // (g.neighbors.size + 1) + 1
 
 
 def _neighbor_sums(g: Graph, signs: np.ndarray, positives: int | None = None, known=()) -> np.ndarray:
@@ -87,7 +118,7 @@ def _neighbor_sums(g: Graph, signs: np.ndarray, positives: int | None = None, kn
     ``positives`` is the +1 count of ``signs`` when the caller has it, and
     ``known`` a sequence of (signs, sums) pairs, states with exact sums.
     The sums come from the nearest of those and the nearer unanimous state
-    (the pairs win a tie) within n/8 vertices, else from the adjacency.
+    (the pairs win a tie) within n/4 vertices, else from the adjacency.
     """
     n, a = g.n, g._adjacency
     if positives is None:
@@ -104,12 +135,12 @@ def _neighbor_sums(g: Graph, signs: np.ndarray, positives: int | None = None, kn
             k, differ, base, sign = known_k, known_differ, known_sums, 1
     if _DELTA_SHARE * k > n:
         return a @ signs.astype(a.dtype, copy=False)
-    # sign*base + 2*(A[D].T @ signs[D]), exact modulo the dtype's width; n/16
-    # rows a gather, as malloc's mmap threshold rises to the largest block freed
+    # sign*base + 2*(A[D].T @ signs[D]), exact modulo the dtype's width
     changed = np.flatnonzero(signs != majority if differ is None else differ)
     sums = np.zeros(n, dtype=a.dtype)
-    for i in range(0, changed.size, n // 16 + 1):
-        rows = changed[i:i + n // 16 + 1]
+    step = _rows_per_gather(g)
+    for i in range(0, changed.size, step):
+        rows = changed[i:i + step]
         sums += a[rows].T @ signs[rows].astype(a.dtype)
     sums *= 2
     return (np.add if sign > 0 else np.subtract)(sums, base, out=sums)
@@ -125,16 +156,16 @@ def _next_signs(sums: np.ndarray, signs: np.ndarray) -> np.ndarray:
 def majority_step(g: Graph, s: OpinionVector, *, sums: np.ndarray | None = None) -> OpinionVector:
     """One synchronous day of the dynamics; the input is not modified.
 
-    ``sums``, when given, must be ``s``'s own neighbour sums in any signed
-    integer dtype (as a census hands them over); the step reads them
-    instead of computing them.
+    ``sums``, when given, must be ``s``'s own neighbour sums, an array of
+    any signed integer dtype (as a census hands them over); the step reads
+    them instead of computing them.
     """
     if s.n != g.n:
         raise ValueError("opinion vector does not match graph size")
     if sums is None:
         sums = _neighbor_sums(g, s.signs())
-    elif np.shape(sums) != (g.n,):
-        raise ValueError("neighbour sums do not match graph size")
+    else:
+        _check_sums(sums, g.n)
     return OpinionVector(_next_signs(sums, s.signs()))
 
 
@@ -179,18 +210,23 @@ def run(g: Graph, s0: OpinionVector, day_cap: int = 64, reference=None) -> Traje
     state reports day 0 even though its fixedness is confirmed on day 1.
 
     ``reference``, when given, is a sequence of (signs, sums) pairs, each a
-    state and its exact neighbour sums, such as a census's un-swung days 0
-    and 1.  The step from day d - 1 also sums from pair d - 1 and from day
-    d - 3, with the sums the run took for it, while few vertices differ
-    from them; the trajectory is the same with or without ``reference``.
+    state of exact +1/-1 values and its exact neighbour sums, a signed
+    integer array, such as a census's un-swung days 0 and 1; both are
+    checked here, once.  The step from day d - 1 also sums from pair d - 1
+    and from day d - 3, with the sums the run took for it, while few
+    vertices differ from them; the trajectory is the same with or without
+    ``reference``.
     """
     if s0.n != g.n:
         raise ValueError("opinion vector does not match graph size")
     if day_cap < 1:
         raise ValueError("day_cap must be at least 1")
     reference = () if reference is None else tuple(reference)
-    if any(np.shape(x) != (g.n,) for pair in reference for x in pair):
-        raise ValueError("reference state does not match graph size")
+    for known_signs, known_sums in reference:
+        if np.shape(known_signs) != (g.n,):
+            raise ValueError("reference state does not match graph size")
+        _check_signs(np.asarray(known_signs))
+        _check_sums(known_sums, g.n)
     n = g.n
     cur = s0.signs()
     back: list[tuple[np.ndarray, np.ndarray]] = []  # days d - 3 and d - 2 with their sums

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -39,7 +40,8 @@ from majdyn import (
     sample_gnp,
     sample_uniform,
 )
-from majdyn.dynamics import _neighbor_sums
+from majdyn import dynamics
+from majdyn.dynamics import _DELTA_SHARE, _neighbor_sums, _rows_per_gather
 
 
 def vec(*signs):
@@ -70,6 +72,15 @@ class TestOpinionVector:
         # a cast to int8 would read 1.5 as 1; nothing is truncated
         with pytest.raises(ValueError, match="must be \\+1 or -1"):
             OpinionVector(np.array([bad, -1.0, 1.0]))
+
+    @pytest.mark.parametrize("signs", [
+        np.array([True, True, True]), [True, False, True],
+        np.array([1j, -1, 1]), np.array([1, -1], dtype=object),
+    ], ids=["bool", "bool-list", "complex", "object"])
+    def test_rejects_a_dtype_other_than_integer_or_float(self, signs):
+        # numpy reads True as 1, and 1j has modulus 1: both are refused by dtype
+        with pytest.raises(ValueError, match="must be \\+1 or -1, got dtype"):
+            OpinionVector(signs)
 
     def test_the_all_zero_state_is_rejected_when_built(self):
         # it once ran as unanimous -1 with day-0 bias -6, though it sums to 0
@@ -163,17 +174,20 @@ class TestDegreeSizedSums:
 
     @pytest.mark.parametrize("base_dtype", [None, np.int8, np.int32, np.int64])
     @pytest.mark.parametrize("majority", [1, -1])
-    def test_a_doubled_delta_past_the_dtype_still_gives_exact_sums(self, base_dtype, majority):
+    def test_a_doubled_delta_past_the_dtype_still_gives_exact_sums(self, base_dtype, majority, monkeypatch):
         # a 100-leaf star and 500 isolated vertices: 70 leaves differ from the
-        # unanimous state, within n/8, so the centre's delta of 2*70 wraps
-        # int8 and only the sum with its base, 100 - 140, fits
+        # unanimous state, within the delta share, so the centre's delta of
+        # 2*70 wraps int8 and only the sum with its base, 100 - 140, fits;
+        # gathers of 16 entries' worth of rows split the 70 rows in two
+        monkeypatch.setattr(dynamics, "_GATHER_ENTRIES", 16)
         g = from_edges(601, [(0, i) for i in range(1, 101)])
         signs = np.full(601, majority, dtype=np.int8)
         signs[1:71] = -majority
         unanimous = np.full(601, majority, dtype=np.int8)
         known = [] if base_dtype is None else [(unanimous, (majority * g.degrees).astype(base_dtype))]
         got, gathers, products = counted_sums(g, signs, known=known)
-        assert g._adjacency.dtype == np.int8 and gathers == [38, 32] and products == 0
+        assert g._adjacency.dtype == np.int8 and products == 0
+        assert gathers == row_blocks(70, _rows_per_gather(g)) and len(gathers) >= 2
         assert np.array_equal(got, g._adjacency.astype(np.int64) @ signs.astype(np.int64))
         assert got[0] == -40 * majority
 
@@ -362,27 +376,43 @@ def counted_sums(g, signs, positives=None, known=()):
     return sums, counter.gathers, counter.products
 
 
-def row_blocks(k, n):
-    """The gathers of a product over ``k`` differing rows: n/16 rows at a time."""
-    step = n // 16 + 1
+def row_blocks(k, step):
+    """The gathers of a product over ``k`` rows, ``step`` at a time."""
     return [min(step, k - i) for i in range(0, k, step)]
+
+
+def hub_graph(n, seed):
+    """A G(n, 12/n) draw with vertex 0 joined to vertices 1..128 as well, so
+    its degree of 128 or more makes the adjacency int16."""
+    upper = np.triu(np.random.default_rng(seed).random((n, n)) < 12.0 / n, 1)
+    upper[0, 1:129] = True
+    g = from_edges(n, np.argwhere(upper))
+    assert g._adjacency.dtype == np.int16
+    return g
+
+
+# sizes of the gathers drawn by the property tests: the library's, and a few
+# entries, so that small graphs' deltas span several gathers too
+gather_entries = st.sampled_from([dynamics._GATHER_ENTRIES, 8, 64])
 
 
 def uses_minority_side(g, s):
     # the minority's rows gathered and no full product
     _, gathers, products = counted_sums(g, s.signs())
-    return gathers == row_blocks(min(positives(s), s.n - positives(s)), s.n) and products == 0
+    return gathers == row_blocks(min(positives(s), s.n - positives(s)), _rows_per_gather(g)) and products == 0
 
 
 class TestMinoritySideStep:
-    """The step sums from the minority's side once 8 * minority <= n, and
-    from the whole adjacency otherwise; both must equal the reference."""
+    """The step sums from the minority's side once _DELTA_SHARE * minority
+    <= n, and from the whole adjacency otherwise; both must equal the
+    reference."""
 
     @pytest.mark.parametrize("n", [160, 1000, 1007])
     @pytest.mark.parametrize("majority", [1, -1])
-    def test_both_sides_of_the_crossover(self, n, majority):
-        g = sample_gnp(n, 12.0 / n, n)
-        for k, minority_side in ((n // 8, True), (n // 8 + 1, False)):
+    @pytest.mark.parametrize("hub", [False, True])
+    def test_both_sides_of_the_crossover(self, n, majority, hub):
+        g = hub_graph(n, n) if hub else sample_gnp(n, 12.0 / n, n)
+        for k, minority_side in ((n // _DELTA_SHARE, True), (n // _DELTA_SHARE + 1, False)):
             s = with_minority(n, k, majority, k)
             assert uses_minority_side(g, s) == minority_side
             out = majority_step(g, s)
@@ -519,17 +549,17 @@ def flipped(s, k, seed):
 
 def distances(n):
     """Distances from a state to its known reference: none, a few
-    vertices, and past the n/8 crossover."""
+    vertices, and past the delta share's crossover."""
     return st.one_of(
         st.just(0),
         st.integers(min_value=1, max_value=min(3, n)),
-        st.integers(min_value=min(n // 8 + 1, n), max_value=n),
+        st.integers(min_value=min(n // _DELTA_SHARE + 1, n), max_value=n),
     )
 
 
 class TestKnownSums:
     """Sums taken from a known state plus the vertices that differ from it
-    must equal the sums taken from scratch, on every side of n/8."""
+    must equal the sums of a whole product, on every side of n/_DELTA_SHARE."""
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -556,10 +586,11 @@ class TestKnownSums:
         assert run(g, s0, day_cap, reference=reference) == expected
 
     @pytest.mark.parametrize("n", [160, 1007])
-    def test_both_sides_of_the_crossover(self, n):
-        g = sample_gnp(n, 12.0 / n, n)
+    @pytest.mark.parametrize("hub", [False, True])
+    def test_both_sides_of_the_crossover(self, n, hub):
+        g = hub_graph(n, n) if hub else sample_gnp(n, 12.0 / n, n)
         s = swung_start(n, 0.0, 1)
-        for k, from_known in ((0, True), (n // 8, True), (n // 8 + 1, False)):
+        for k, from_known in ((0, True), (n // _DELTA_SHARE, True), (n // _DELTA_SHARE + 1, False)):
             known = flipped(s, k, k)
             sums = neighbor_sums(g, known)
             got, gathers, products = counted_sums(
@@ -567,7 +598,7 @@ class TestKnownSums:
             )
             # a balanced state has no small minority, so rows gathered, or
             # the known sums handed back, came from the known state
-            assert (got is sums if k == 0 else gathers == row_blocks(k, n)) == from_known
+            assert (got is sums if k == 0 else gathers == row_blocks(k, _rows_per_gather(g))) == from_known
             assert products == (0 if from_known else 1)
             assert np.array_equal(got, neighbor_sums(g, s))
 
@@ -577,16 +608,17 @@ class TestKnownSums:
         p=st.floats(min_value=0.0, max_value=0.3),
         majority=st.sampled_from([1, -1]),
         seed=st.integers(min_value=0, max_value=2**31),
+        entries=gather_entries,
         data=st.data(),
     )
     def test_the_nearer_state_within_the_delta_share_gives_the_sums(
-        self, n, p, majority, seed, data
+        self, n, p, majority, seed, entries, data
     ):
         # distances to the nearer unanimous state and to the known state:
-        # none, either side of n/8, within it, and any, so either state is
-        # sometimes the nearer one with both inside n/8
-        edge = st.sampled_from([n // 8, n // 8 + 1])
-        small = st.integers(min_value=0, max_value=n // 8)
+        # none, either side of n/_DELTA_SHARE, within it, and any, so either
+        # state is sometimes the nearer one with both inside the share
+        edge = st.sampled_from([n // _DELTA_SHARE, n // _DELTA_SHARE + 1])
+        small = st.integers(min_value=0, max_value=n // _DELTA_SHARE)
         minority = data.draw(st.one_of(edge, small, st.integers(min_value=0, max_value=n // 2)))
         k = data.draw(st.one_of(st.just(0), edge, small, st.integers(min_value=0, max_value=n)))
         g = sample_gnp(n, p, seed)
@@ -596,18 +628,20 @@ class TestKnownSums:
         known_sums = g._adjacency @ known.signs().astype(np.int64)
         counter = CountingAdjacency(g._adjacency)
         g.__dict__["_adjacency"] = counter
-        got = _neighbor_sums(g, s.signs(), positives(s), [(known.signs(), known_sums)])
+        with mock.patch.object(dynamics, "_GATHER_ENTRIES", entries):
+            got = _neighbor_sums(g, s.signs(), positives(s), [(known.signs(), known_sums)])
+            step = _rows_per_gather(g)
         assert np.array_equal(got, expected)
         # the rows gathered are the chosen state's distance; at distance 0
         # the known state hands back its own sums
         nearest = min(k, minority)
         if k == 0:
             assert got is known_sums and counter.gathers == []
-        elif 8 * nearest <= n:
-            assert counter.gathers == row_blocks(nearest, n) and counter.products == 0
+        elif _DELTA_SHARE * nearest <= n:
+            assert counter.gathers == row_blocks(nearest, step) and counter.products == 0
         else:
             assert counter.gathers == [] and counter.products == 1
-        assert all(16 * (rows - 1) <= n for rows in counter.gathers)
+        assert all(rows <= step for rows in counter.gathers)
 
     def test_known_state_of_the_wrong_size_is_rejected(self):
         g = path_graph(3)
@@ -616,6 +650,27 @@ class TestKnownSums:
             run(g, s, 5, reference=[(s.signs(), np.zeros(4, dtype=np.int32))])
         with pytest.raises(ValueError):
             majority_step(g, s, sums=np.zeros(2, dtype=np.int32))
+
+    @pytest.mark.parametrize("sums", [
+        np.array([0.5, 2.0, -0.5]), [0.4, -0.2, 0.0], [-1, 2, -1],
+        np.array([1, 2, 1], dtype=np.uint8), np.array([True, True, True]),
+    ], ids=["float", "float-list", "int-list", "uint8", "bool"])
+    def test_sums_that_are_not_a_signed_integer_array_are_rejected(self, sums):
+        # the float pair once made this path's two-cycle report unanimous +1
+        g, s = path_graph(3), vec(1, -1, 1)
+        with pytest.raises(ValueError, match="signed-integer array"):
+            run(g, s, 5, reference=[(s.signs(), sums)])
+        with pytest.raises(ValueError, match="signed-integer array"):
+            majority_step(g, s, sums=sums)
+
+    @pytest.mark.parametrize("state", [
+        np.array([1, 0, 1]), np.array([3, -1, 1]), np.array([1.5, -1.0, 1.0]),
+        np.array([True, True, True]),
+    ], ids=["zero", "three", "fraction", "bool"])
+    def test_reference_states_that_are_not_signs_are_rejected(self, state):
+        g, s = path_graph(3), vec(1, -1, 1)
+        with pytest.raises(ValueError, match="must be \\+1 or -1"):
+            run(g, s, 5, reference=[(state, np.array([-1, 2, -1]))])
 
 
 def matvec_step(g, s):
@@ -628,7 +683,7 @@ def sum_paths(states, reference):
     """The (path, distance) ``run`` should take on each day it steps from
     ``states``: the nearest of the state two days back, the reference pair
     and the nearer unanimous state, in that order on a tie, or "matvec"
-    when even the nearest differs on more than n/8 vertices."""
+    when even the nearest differs on more than n/_DELTA_SHARE vertices."""
     n = states[0].n
     paths = []
     for d in range(1, len(states)):
@@ -641,7 +696,7 @@ def sum_paths(states, reference):
             near.append(("reference", int(np.count_nonzero(cur.signs() != reference[d - 1][0]))))
         near.append(("unanimous", min(pos, n - pos)))
         name, k = min(near, key=lambda c: c[1])
-        paths.append((name if 8 * k <= n else "matvec", k))
+        paths.append((name if _DELTA_SHARE * k <= n else "matvec", k))
     return paths
 
 
@@ -686,11 +741,13 @@ class TestSumPaths:
     product over the rows that differ from the nearer unanimous state, a
     reference pair, or the state two days back.  Whichever it takes, the
     trajectory must equal a plain int64 matvec replay, and the rows it
-    gathers, n/16 at a time, must add up to the nearest state's distance."""
+    gathers, ``_rows_per_gather`` at a time, must add up to the nearest
+    state's distance."""
 
     @settings(max_examples=300, deadline=None)
-    @given(case=graphs_and_starts(), day_cap=st.integers(min_value=1, max_value=12), data=st.data())
-    def test_run_equals_a_matvec_replay(self, case, day_cap, data):
+    @given(case=graphs_and_starts(), day_cap=st.integers(min_value=1, max_value=12),
+           entries=gather_entries, data=st.data())
+    def test_run_equals_a_matvec_replay(self, case, day_cap, entries, data):
         g, s0, hovering = case
         days, outcome, states = reference_run(g, s0, day_cap, matvec_step)
         # reference pairs near the replayed days, as a census hands them over
@@ -700,7 +757,9 @@ class TestSumPaths:
             reference.append((known.signs(), g._adjacency.astype(np.int64) @ known.signs()))
         counter = CountingAdjacency(g._adjacency)
         g.__dict__["_adjacency"] = counter
-        traj = run(g, s0, day_cap, reference=reference)
+        with mock.patch.object(dynamics, "_GATHER_ENTRIES", entries):
+            traj = run(g, s0, day_cap, reference=reference)
+            step = _rows_per_gather(g)
         o = traj.outcome
         assert [(d.bias, d.flips, d.positives) for d in traj.days] == days
         assert (o.kind, o.day, o.sign, o.period) == outcome
@@ -709,7 +768,7 @@ class TestSumPaths:
         for name in sorted({name for name, _ in paths}):
             event(f"path {name}")
         delta = [k for name, k in paths if name != "matvec"]
-        assert counter.gathers == [rows for k in delta for rows in row_blocks(k, g.n)]
+        assert counter.gathers == [rows for k in delta for rows in row_blocks(k, step)]
         assert counter.products == sum(name == "matvec" for name, _ in paths)
         # from day 4 on no reference pair is left, and the domains frozen
         # around the turned vertices keep days two apart close
