@@ -20,7 +20,7 @@ import sys
 from dataclasses import fields, replace
 
 from . import harness, probkit
-from .graph import sample_gnp, save_graph
+from .graph import check_integer, sample_gnp, save_graph
 from .opinions import OpinionModel
 
 _MODEL_NAMES = {"uniform": "uniform", "fixed": "fixed_discrepancy", "morning": "morning_evening"}
@@ -235,8 +235,7 @@ def _cmd_contraction(args) -> int:
 
 
 def _cmd_verify_lemmas(args) -> int:
-    if args.seed < 0:
-        raise ValueError(f"--seed must be non-negative, got {args.seed}")
+    check_integer("--seed", args.seed, 0)
     results = probkit.run_lemma_sweeps(max_cases=args.max_trials, seed=args.seed)
     rows = tuple(
         {"check": r.name, "cases": r.cases, "worst": r.worst, "bound": r.bound,
@@ -254,8 +253,7 @@ def _cmd_verify_lemmas(args) -> int:
 
 
 def _cmd_gen_graph(args) -> int:
-    if args.seed < 0:
-        raise ValueError(f"--seed must be non-negative, got {args.seed}")
+    check_integer("--seed", args.seed, 0)
     g = sample_gnp(args.n, args.p, args.seed)
     save_graph(g, args.output)
     _log(args, f"wrote {args.output}: n={g.n} edges={g.edge_count}")

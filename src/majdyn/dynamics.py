@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, check_integer
 
 
 def _check_signs(signs: np.ndarray) -> None:
@@ -219,8 +219,7 @@ def run(g: Graph, s0: OpinionVector, day_cap: int = 64, reference=None) -> Traje
     """
     if s0.n != g.n:
         raise ValueError("opinion vector does not match graph size")
-    if day_cap < 1:
-        raise ValueError("day_cap must be at least 1")
+    check_integer("day_cap", day_cap, 1)
     reference = () if reference is None else tuple(reference)
     for known_signs, known_sums in reference:
         if np.shape(known_signs) != (g.n,):

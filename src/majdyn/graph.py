@@ -77,12 +77,15 @@ _GAP_BLOCK = 1 << 18
 MAX_VERTICES = 2**31
 
 
-def check_vertex_count(n: int) -> None:
-    """Reject a bool, a non-integer or an n outside ``1..MAX_VERTICES``, allocating nothing."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise ValueError(f"n must be an integer, got {n!r}")
-    if not 1 <= n <= MAX_VERTICES:
-        raise ValueError(f"n must lie in 1..2**31 for int32 vertex ids, got {n}")
+def check_integer(name: str, value, lo: int, hi: int | None = None) -> None:
+    """The library's one integer-argument check: ValueError naming ``name`` for a
+    bool, a non-integer (``np.float64(3.0)`` too) or a value outside ``lo..hi``
+    (``hi=None``: no upper bound).  A numpy integer passes; nothing is allocated."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < lo or (hi is not None and value > hi):
+        bounds = f"be at least {lo}" if hi is None else f"lie in {lo}..{hi}"
+        raise ValueError(f"{name} must {bounds}, got {value}")
 
 
 class Graph:
@@ -97,7 +100,7 @@ class Graph:
     """
 
     def __init__(self, n: int, offsets, neighbors):
-        check_vertex_count(n)
+        check_integer("n", n, 1, MAX_VERTICES)
         self.n = int(n)
         offsets, ids = _integers("offsets", offsets), _integers("neighbor ids", neighbors)
         for what, a in (("offsets", offsets), ("neighbor ids", ids)):
@@ -201,7 +204,7 @@ def from_edges(n: int, edges) -> Graph:
     duplicate edges; order and orientation of the input pairs is
     irrelevant.
     """
-    check_vertex_count(n)
+    check_integer("n", n, 1, MAX_VERTICES)
     if not isinstance(edges, np.ndarray):
         edges = list(edges)
     pairs = _integers("edge endpoints", edges)
@@ -342,7 +345,7 @@ def sample_gnp(n: int, p: float, seed) -> Graph:
     The graph is that of one ``rng.geometric(p)`` stream; a passed-in
     Generator is left after the block of gaps that crosses the last pair.
     """
-    check_vertex_count(n)
+    check_integer("n", n, 1, MAX_VERTICES)
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     total = n * (n - 1) // 2
@@ -389,8 +392,7 @@ def estimate_jumbledness(g: Graph, p: float, pairs: int = 200, seed=0) -> float:
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    if pairs < 1:
-        raise ValueError("need at least one subset pair")
+    check_integer("pairs", pairs, 1)
     hi = max(g.n // 4, 1)
     lo = max(hi // 2, 1)
     if 2 * hi > g.n:

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import run
-from .graph import Graph, check_vertex_count, estimate_jumbledness, sample_gnp
+from .graph import MAX_VERTICES, Graph, check_integer, estimate_jumbledness, sample_gnp
 from .opinions import (
     OpinionModel,
     apply_swing,
@@ -52,8 +52,7 @@ class PSpec:
     log_power: float = 0.0
 
     def resolve(self, n: int) -> float:
-        if n < 2:
-            raise ValueError("regime densities need n >= 2")
+        check_integer("n for a regime density", n, 2)
         try:
             return self.coefficient * n ** self.exponent * math.log(n) ** self.log_power
         except OverflowError:
@@ -96,15 +95,11 @@ class ExperimentConfig:
         return value
 
     def validate(self) -> None:
-        check_vertex_count(self.n)
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
-        if self.day_cap < 1:
-            raise ValueError("day_cap must be at least 1")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
-        if self.master_seed < 0:
-            raise ValueError(f"master_seed must be non-negative, got {self.master_seed}")
+        check_integer("n", self.n, 1, MAX_VERTICES)
+        check_integer("trials", self.trials, 1)
+        check_integer("day_cap", self.day_cap, 1)
+        check_integer("workers", self.workers, 1)
+        check_integer("master_seed", self.master_seed, 0)
         if self.gamma is not None:
             if not 0.0 <= self.gamma < math.inf:
                 raise ValueError(f"gamma must be finite and non-negative, got {self.gamma}")
@@ -321,8 +316,7 @@ def contraction_experiment(cfg: ExperimentConfig, bias_floor: int) -> Table:
     next day, records the minority share on day t*+1 and whether the minority
     count ever grew afterwards.
     """
-    if bias_floor < 1:
-        raise ValueError("bias_floor must be positive")
+    check_integer("bias_floor", bias_floor, 1)
     report = run_experiment(cfg)
     n = cfg.n
     rows = []
@@ -382,7 +376,7 @@ def bias_sweep(cfg: ExperimentConfig, d_values) -> Table:
             raise ValueError(f"the d sweep would replace the config's {name}: "
                              "each row runs the fixed_discrepancy model with no census")
     rows = []
-    for sub in _validated([replace(cfg, model=OpinionModel("fixed_discrepancy", d=int(d)))
+    for sub in _validated([replace(cfg, model=OpinionModel("fixed_discrepancy", d=d))
                            for d in d_values]):
         report = run_experiment(sub)
         unanimous = report.aggregates["unanimous"]
@@ -489,15 +483,25 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     return _from_json(ExperimentConfig, data, "config")
 
 
+def _unique_keys(pairs) -> dict:
+    """The dict of a JSON object's pairs; ValueError on a key that repeats."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"repeated key {key!r}")
+        out[key] = value
+    return out
+
+
 def load_config(path) -> ExperimentConfig:
     """Read a JSON config file mirroring ExperimentConfig exactly."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         # keep the subclass (FileNotFoundError etc.) so callers can triage
         raise type(exc)(f"cannot read config from {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON, text that is not UTF-8, or a repeated key
         raise ValueError(f"invalid config file {path}: {exc}") from exc
     return config_from_dict(data)
 
@@ -600,7 +604,8 @@ def _write(fmt: str, parts) -> list[Path]:
 
 def _dump(fh, fmt: str, content, columns) -> None:
     if fmt == "json":
-        json.dump(content, fh, indent=2, allow_nan=False)
+        # ``default`` runs only for what json cannot write: a numpy scalar, as its number
+        json.dump(content, fh, indent=2, allow_nan=False, default=np.generic.item)
         fh.write("\n")
     else:
         writer = csv.writer(fh, lineterminator="\n")

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import OpinionVector, _neighbor_sums, majority_step
-from .graph import Graph, _integers, check_vertex_count
+from .graph import MAX_VERTICES, Graph, _integers, check_integer
 
 MODEL_KINDS = ("uniform", "fixed_discrepancy", "morning_evening")
 
@@ -50,19 +50,16 @@ class OpinionModel:
             raise ValueError("swing coefficient c applies only to the morning_evening model")
         if self.d and self.kind != "fixed_discrepancy":
             raise ValueError("opinion sum d applies only to the fixed_discrepancy model")
-        if self.kind == "fixed_discrepancy":
-            if abs(self.d) > n:
-                raise ValueError(f"opinion sum d={self.d} exceeds n={n} in magnitude")
-            if (n + self.d) % 2 != 0:
-                raise ValueError(f"opinion sum d={self.d} has the wrong parity for n={n}")
-        if self.kind == "morning_evening":
-            if swing_count(n, self.c) > n - (n + 1) // 2:
-                raise ValueError("swing larger than the available -1 vertices")
+        check_integer("opinion sum d", self.d, -n, n)
+        if self.kind == "fixed_discrepancy" and (n + self.d) % 2 != 0:
+            raise ValueError(f"opinion sum d={self.d} has the wrong parity for n={n}")
+        if self.kind == "morning_evening" and swing_count(n, self.c) > n - (n + 1) // 2:
+            raise ValueError("swing larger than the available -1 vertices")
 
 
 def sample_uniform(n: int, seed) -> OpinionVector:
     """iid uniform +-1 opinions."""
-    check_vertex_count(n)
+    check_integer("n", n, 1, MAX_VERTICES)
     rng = np.random.default_rng(seed)
     return OpinionVector((2 * rng.integers(0, 2, size=n) - 1).astype(np.int8))
 
@@ -76,7 +73,7 @@ def sample_morning(n: int, seed) -> OpinionVector:
 def sample_fixed_discrepancy(n: int, d: int, seed) -> OpinionVector:
     """Exactly (n+d)/2 positives at uniform positions; d must have the
     parity of n."""
-    check_vertex_count(n)
+    check_integer("n", n, 1, MAX_VERTICES)
     OpinionModel("fixed_discrepancy", d=d).validate(n)
     signs = np.full(n, -1, dtype=np.int8)
     if n + d:

@@ -37,6 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .graph import check_integer
+
 _CONV_TRIALS_GUARD = 20000
 _BERRY_ESSEEN_GUARD = 10**6
 
@@ -59,8 +61,7 @@ class BinomSpec:
     prob: float
 
     def __post_init__(self):
-        if self.trials < 0:
-            raise ValueError("trials must be non-negative")
+        check_integer("trials", self.trials, 0)
         if not 0.0 <= self.prob <= 1.0:
             raise ValueError("prob must lie in [0, 1]")
 
@@ -241,9 +242,8 @@ def check_four_rv(
     Y' ~ Bin(n2, p), X ~ Bin(n3, p), Y ~ Bin(n4, p), next to the scale
     p * Delta / sqrt(p * n0) with n0 = min(n_i) and
     Delta = max(|n1-n3|, |n2-n4|)."""
-    for ni in (n1, n2, n3, n4):
-        if ni < 1:
-            raise ValueError("all four trial counts must be positive")
+    for name, ni in zip(("n1", "n2", "n3", "n4"), (n1, n2, n3, n4)):
+        check_integer(name, ni, 1)
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie strictly inside (0, 1)")
     d_primed = binom_diff_pmf(BinomSpec(n1, p), BinomSpec(n2, p))
@@ -258,8 +258,7 @@ def check_four_rv(
 def berry_esseen_gap(n: int, p: float) -> float:
     """Max over integer cut points k of |P[X <= k] - Phi((k - np)/sigma)|
     for X ~ Bin(n, p); the binomial CDF is a direct pairwise summation."""
-    if not 1 <= n <= _BERRY_ESSEEN_GUARD:
-        raise ValueError(f"n must lie in [1, {_BERRY_ESSEEN_GUARD}]")
+    check_integer("n", n, 1, _BERRY_ESSEEN_GUARD)
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie strictly inside (0, 1)")
     masses = _binom_masses(BinomSpec(n, p))
@@ -404,8 +403,7 @@ def run_lemma_sweeps(max_cases: int = 200, seed: int = 0) -> list[SweepResult]:
     check; the deterministic grids are fixed.  Results come back in a stable
     order for table printing.
     """
-    if max_cases < 1:
-        raise ValueError("max_cases must be at least 1")
+    check_integer("max_cases", max_cases, 1)
     rng = np.random.default_rng(seed)
     return [
         _sweep_chernoff(),

@@ -175,7 +175,8 @@ def test_c07_almost_positive_excess():
 
 
 def test_c08_one_day_amplification_scale():
-    cfg = ExperimentConfig(n=2 * 10**4, p=0.02, trials=100, master_seed=1003)
+    # only days 0 and 1 are read, so each trial runs one day
+    cfg = ExperimentConfig(n=2 * 10**4, p=0.02, trials=100, master_seed=1003, day_cap=1)
     report = run_experiment(cfg)
     ratios = [
         abs(t.bias_by_day[1]) / abs(t.bias_by_day[0])

@@ -154,6 +154,15 @@ class TestConfigFile:
         assert code == 1
         assert "trails" in err
 
+    def test_repeated_key_exits_1(self, capsys, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"n": 60, "p": 0.1, "trials": 3, "trials": 1, '
+                        '"model": {"kind": "fixed_discrepancy", "d": 2, "d": 4}}')
+        code, out, err = run_cli(capsys, "run", "--config", str(path))
+        assert code == 1 and out == ""
+        # the model object closes first, so its repeated d is the one named
+        assert err == f"majdyn: error: invalid config file {path}: repeated key 'd'\n"
+
     def test_mistyped_config_exits_1_with_nothing_written(self, capsys, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"n": 60.7, "p": 0.1}))
@@ -164,11 +173,11 @@ class TestConfigFile:
         assert err == "majdyn: error: config.n must be a JSON int, got 60.7\n"
 
     @pytest.mark.parametrize("argv, message", [
-        (["run", "--n", "60", "--p", "0.1", "--seed", "-1"], "master_seed must be non-negative"),
+        (["run", "--n", "60", "--p", "0.1", "--seed", "-1"], "master_seed must be at least 0, got -1"),
         (["gen-graph", "--n", "60", "--p", "0.1", "--seed", "-3", "-o", "g.bin"],
-         "--seed must be non-negative"),
+         "--seed must be at least 0, got -"),
         (["verify-lemmas", "--max-trials", "5", "--seed", "-2", "-o", "v.csv"],
-         "--seed must be non-negative"),
+         "--seed must be at least 0, got -"),
     ])
     def test_negative_seed_names_its_flag(self, capsys, tmp_path, monkeypatch, argv, message):
         monkeypatch.chdir(tmp_path)
@@ -284,7 +293,7 @@ class TestSweep:
         assert err == f"majdyn: error: {flag} is empty\n"
 
     @pytest.mark.parametrize("flags, message", [
-        (["--p", "0.1", "--d-values", "0,2,102"], "opinion sum d=102 exceeds n=100"),
+        (["--p", "0.1", "--d-values", "0,2,102"], "opinion sum d must lie in -100..100, got 102"),
         (["--p-values", "0.05,2.0"], "resolved density 2.0 outside (0, 1]"),
     ], ids=["d", "p"])
     def test_a_bad_last_grid_value_exits_1_with_no_rows(self, capsys, flags, message):
@@ -402,7 +411,7 @@ class TestExperimentCommands:
         code, out, err = run_cli(capsys, "gen-graph", "--n", str(2**31 + 1), "--p", "0.1",
                                  "-o", str(path))
         assert code == 1 and out == "" and not path.exists()
-        assert len(err.splitlines()) == 1 and "int32 vertex ids" in err
+        assert len(err.splitlines()) == 1 and "n must lie in 1..2147483648, got 2147483649" in err
 
     def test_gen_graph_requires_output(self, capsys):
         code, _, _ = run_cli(capsys, "gen-graph", "--n", "10", "--p", "0.1")

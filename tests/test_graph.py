@@ -74,7 +74,7 @@ class TestSampleGnp:
         # each call fails on n alone, before any array is allocated
         assert graph_module.MAX_VERTICES == 2**31 == np.iinfo(np.int32).max + 1
         for make in (lambda n: sample_gnp(n, 0.1, 0), lambda n: Graph(n, [], [])):
-            with pytest.raises(ValueError, match="int32 vertex ids, got 2147483649"):
+            with pytest.raises(ValueError, match=r"^n must lie in 1\.\.2147483648, got 2147483649$"):
                 make(2**31 + 1)
 
     @pytest.mark.parametrize("n", [5.5, 100.0, True, np.True_, "7"],
@@ -671,7 +671,7 @@ class TestEstimateJumbledness:
         assert estimate_jumbledness(complete_graph(40), 1.0, pairs=20, seed=2) == 0.0
 
     def test_rejects_bad_ranges(self):
-        with pytest.raises(ValueError, match="at least one subset pair"):
+        with pytest.raises(ValueError, match="^pairs must be at least 1, got 0$"):
             estimate_jumbledness(empty_graph(10), 0.5, pairs=0)
         # one vertex leaves no room for two disjoint subsets of size 1
         with pytest.raises(ValueError, match=re.escape("(2*max <= n)")):

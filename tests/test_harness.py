@@ -83,14 +83,14 @@ class TestConfig:
     @pytest.mark.parametrize("n", [0, 1])
     def test_regime_density_needs_two_vertices(self, n):
         # log(1) = 0 and log(0) is undefined, so the formula has no density there
-        with pytest.raises(ValueError, match="regime densities need n >= 2"):
+        with pytest.raises(ValueError, match=f"^n for a regime density must be at least 2, got {n}$"):
             PSpec.lower().resolve(n)
 
     def test_n_is_held_to_int32_vertex_ids(self):
         # validation allocates nothing, so the limit itself can be tried
         ExperimentConfig(n=2**31, p=1e-12).validate()
         ExperimentConfig(n=np.int64(2**31), p=1e-12).validate()
-        with pytest.raises(ValueError, match="int32 vertex ids, got 2147483649"):
+        with pytest.raises(ValueError, match=r"^n must lie in 1\.\.2147483648, got 2147483649$"):
             ExperimentConfig(n=2**31 + 1, p=1e-12).validate()
 
     @pytest.mark.parametrize("n", [100.0, True], ids=["float", "bool"])
@@ -204,7 +204,7 @@ class TestConfig:
         (small_cfg(master_seed=-1), "master_seed"),
     ])
     def test_negative_seed_names_its_field(self, cfg, name):
-        with pytest.raises(ValueError, match=f"^{name} must be non-negative, got -"):
+        with pytest.raises(ValueError, match=f"^{name} must be at least 0, got -"):
             cfg.validate()
 
     def test_load_config_file(self, tmp_path):
@@ -214,6 +214,18 @@ class TestConfig:
         assert cfg.n == 60 and cfg.trials == 2
         path.write_text("{not json")
         with pytest.raises(ValueError, match="cfg.json"):
+            load_config(path)
+
+    @pytest.mark.parametrize("text, key", [
+        ('{"n": 60, "p": 0.1, "trials": 3, "trials": 1}', "trials"),
+        ('{"n": 60, "p": 0.1, "model": {"kind": "fixed_discrepancy", "d": 2, "d": 4}}', "d"),
+        ('{"n": 60, "p": null, "p_spec": {"exponent": -0.5, "exponent": -0.6}}', "exponent"),
+    ], ids=["top-level", "model", "p_spec"])
+    def test_a_repeated_key_is_refused_at_any_depth(self, tmp_path, text, key):
+        # json keeps the last value, which would change the experiment unseen
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^invalid config file .*cfg.json: repeated key '{key}'$"):
             load_config(path)
 
 
@@ -566,7 +578,7 @@ class TestDensitySweep:
 
 @pytest.mark.parametrize("sweep, base, grid, message", [
     (bias_sweep, fixed_cfg(trials=2), [0, 2, 3], "opinion sum d=3 has the wrong parity for n=120"),
-    (bias_sweep, fixed_cfg(trials=2), [0, 2, 122], "opinion sum d=122 exceeds n=120 in magnitude"),
+    (bias_sweep, fixed_cfg(trials=2), [0, 2, 122], "opinion sum d must lie in -120..120, got 122"),
     (density_sweep, small_cfg(p=None, trials=2), [0.05, 0.2, 2.0], "resolved density 2.0 outside"),
 ], ids=["d-parity", "d-magnitude", "p-range"])
 def test_sweeps_check_every_row_before_the_first_runs(monkeypatch, sweep, base, grid, message):
@@ -689,6 +701,18 @@ class TestWriteReport:
             write_report(report, path, "json")
             blobs.append(path.read_bytes())
         assert blobs[0] == blobs[1] == blobs[2]
+
+    def test_json_writes_numpy_scalars_as_their_numbers(self):
+        # numpy integers are valid config values, and the echo keeps them as given
+        cfg = small_cfg(n=np.int64(60), p=np.float32(0.1), trials=np.int64(2),
+                        model=OpinionModel("fixed_discrepancy", d=np.int64(2)))
+        stream = io.StringIO()
+        write_report(run_experiment(cfg), stream, "json")
+        config = json.loads(stream.getvalue())["config"]
+        assert config["n"] == 60 and config["trials"] == 2 and config["model"]["d"] == 2
+        assert config["p"] == float(np.float32(0.1))
+        with pytest.raises(TypeError, match="'object' object"):
+            harness.write_table(harness.Table(("a",), ({"a": object()},)), io.StringIO(), "json")
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_stream_gets_the_file_bytes_and_no_paths(self, tmp_path, fmt):

@@ -128,7 +128,7 @@ class TestNormalCdf:
 
 class TestBinomDiffPmf:
     @pytest.mark.parametrize("trials, prob, message", [
-        (-1, 0.5, "trials must be non-negative"),
+        (-1, 0.5, "^trials must be at least 0, got -1$"),
         (3, 1.5, re.escape("prob must lie in [0, 1]")),
         (3, -0.1, re.escape("prob must lie in [0, 1]")),
         (3, math.nan, re.escape("prob must lie in [0, 1]")),
@@ -341,8 +341,8 @@ class TestFourRv:
                 assert diff <= 3.0 * scale
 
     @pytest.mark.parametrize("ns, p, message", [
-        ((0, 80, 100, 80), 0.1, "all four trial counts must be positive"),
-        ((100, 80, 100, -1), 0.1, "all four trial counts must be positive"),
+        ((0, 80, 100, 80), 0.1, "^n1 must be at least 1, got 0$"),
+        ((100, 80, 100, -1), 0.1, "^n4 must be at least 1, got -1$"),
         ((100, 80, 100, 80), 0.0, re.escape("p must lie strictly inside (0, 1)")),
         ((100, 80, 100, 80), 1.0, re.escape("p must lie strictly inside (0, 1)")),
     ], ids=["n1-zero", "n4-negative", "p-zero", "p-one"])
