@@ -77,15 +77,29 @@ _GAP_BLOCK = 1 << 18
 MAX_VERTICES = 2**31
 
 
-def check_integer(name: str, value, lo: int, hi: int | None = None) -> None:
-    """The library's one integer-argument check: ValueError naming ``name`` for a
-    bool, a non-integer (``np.float64(3.0)`` too) or a value outside ``lo..hi``
-    (``hi=None``: no upper bound).  A numpy integer passes; nothing is allocated."""
+def check_integer(name: str, value, lo: int | None = None, hi: int | None = None) -> None:
+    """One rule for integer arguments, as :func:`check_real` is for reals: ValueError
+    naming ``name`` for a bool, a non-integer (``np.float64(3.0)`` too) or a value
+    outside ``lo..hi`` (``None``: no bound).  A numpy integer passes; nothing is allocated."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < lo or (hi is not None and value > hi):
+    if (lo is not None and value < lo) or (hi is not None and value > hi):
         bounds = f"be at least {lo}" if hi is None else f"lie in {lo}..{hi}"
         raise ValueError(f"{name} must {bounds}, got {value}")
+
+
+def check_real(name: str, value, lo: float, hi: float = math.inf, *,
+               lo_open: bool = False, hi_open: bool = False) -> None:
+    """One rule for real arguments, as :func:`check_integer` is for integers: ValueError naming
+    ``name`` for a bool (numpy's too), NaN, ±inf, anything but a Python or numpy int or float,
+    or a value outside ``lo``..``hi`` (closed unless open).  No numpy call on a Python float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    if not -math.inf < value < math.inf:
+        raise ValueError(f"{name} must be finite, got {value}")
+    if (value <= lo if lo_open else value < lo) or (value >= hi if hi_open else value > hi):
+        ends = ("(" if lo_open else "[", ")" if hi_open or hi == math.inf else "]")
+        raise ValueError(f"{name} must lie in {ends[0]}{lo}, {hi}{ends[1]}, got {value}")
 
 
 class Graph:
@@ -346,8 +360,7 @@ def sample_gnp(n: int, p: float, seed) -> Graph:
     Generator is left after the block of gaps that crosses the last pair.
     """
     check_integer("n", n, 1, MAX_VERTICES)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
+    check_real("p", p, 0, 1)
     total = n * (n - 1) // 2
     if p == 0.0 or total == 0:
         return Graph(n, np.zeros(n + 1, dtype=np.int32), np.empty(0, dtype=np.int32))
@@ -390,8 +403,7 @@ def estimate_jumbledness(g: Graph, p: float, pairs: int = 200, seed=0) -> float:
     are drawn disjoint so a complete graph has zero discrepancy (the
     diagonal never contributes).
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
+    check_real("p", p, 0, 1)
     check_integer("pairs", pairs, 1)
     hi = max(g.n // 4, 1)
     lo = max(hi // 2, 1)

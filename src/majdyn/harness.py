@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import run
-from .graph import MAX_VERTICES, Graph, check_integer, estimate_jumbledness, sample_gnp
+from .graph import MAX_VERTICES, Graph, check_integer, check_real, estimate_jumbledness, sample_gnp
 from .opinions import (
     OpinionModel,
     apply_swing,
@@ -54,7 +54,7 @@ class PSpec:
     def resolve(self, n: int) -> float:
         check_integer("n for a regime density", n, 2)
         try:
-            return self.coefficient * n ** self.exponent * math.log(n) ** self.log_power
+            return self.coefficient * math.pow(n, self.exponent) * math.log(n) ** self.log_power
         except OverflowError:
             raise ValueError(f"p_spec {self} overflows a float at n={n}") from None
 
@@ -90,8 +90,7 @@ class ExperimentConfig:
         if (self.p is None) == (self.p_spec is None):
             raise ValueError("exactly one of p and p_spec must be set")
         value = self.p if self.p is not None else self.p_spec.resolve(self.n)
-        if not 0.0 < value <= 1.0:
-            raise ValueError(f"resolved density {value} outside (0, 1]")
+        check_real("p" if self.p is not None else "resolved density", value, 0, 1, lo_open=True)
         return value
 
     def validate(self) -> None:
@@ -101,8 +100,7 @@ class ExperimentConfig:
         check_integer("workers", self.workers, 1)
         check_integer("master_seed", self.master_seed, 0)
         if self.gamma is not None:
-            if not 0.0 <= self.gamma < math.inf:
-                raise ValueError(f"gamma must be finite and non-negative, got {self.gamma}")
+            check_real("gamma", self.gamma, 0)
             if self.model.kind != "morning_evening":
                 raise ValueError("census threshold gamma applies only to the morning_evening model")
         self.resolved_p()
@@ -399,7 +397,7 @@ def density_sweep(cfg: ExperimentConfig, p_values) -> Table:
     for key in ("p", "p_spec"):
         if getattr(cfg, key) is not None:
             raise ValueError(f"the p sweep would replace the config's {key}: each row runs at one p")
-    subs = _validated([replace(cfg, p=float(p)) for p in p_values])
+    subs = _validated([replace(cfg, p=p) for p in p_values])
     rows = tuple({"p": sub.p, **_sweep_row(run_experiment(sub))} for sub in subs)
     return Table(("p", *_SWEEP_COLUMNS), rows)
 

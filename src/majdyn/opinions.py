@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import OpinionVector, _neighbor_sums, majority_step
-from .graph import MAX_VERTICES, Graph, _integers, check_integer
+from .graph import MAX_VERTICES, Graph, _integers, check_integer, check_real
 
 MODEL_KINDS = ("uniform", "fixed_discrepancy", "morning_evening")
 
@@ -44,8 +44,7 @@ class OpinionModel:
     def validate(self, n: int) -> None:
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown opinion model kind {self.kind!r}")
-        if not 0.0 <= self.c < math.inf:
-            raise ValueError(f"swing coefficient c must be finite and non-negative, got {self.c}")
+        check_real("swing coefficient c", self.c, 0)
         if self.c and self.kind != "morning_evening":
             raise ValueError("swing coefficient c applies only to the morning_evening model")
         if self.d and self.kind != "fixed_discrepancy":
@@ -93,8 +92,7 @@ def apply_swing(r0: OpinionVector, c: float, seed) -> tuple[OpinionVector, np.nd
     is left unchanged (and returned itself when the swing is empty).
     Raises when fewer -1 vertices are available than the swing size.
     """
-    if not 0.0 <= c < math.inf:
-        raise ValueError(f"swing coefficient c must be finite and non-negative, got {c}")
+    check_real("swing coefficient c", c, 0)
     k = swing_count(r0.n, c)
     negatives = np.flatnonzero(r0.signs() < 0)
     if k > negatives.size:
@@ -137,10 +135,8 @@ def census(g: Graph, r0: OpinionVector, swing_set, gamma: float, p: float) -> Ce
     """
     if r0.n != g.n:
         raise ValueError("opinion vector does not match graph size")
-    if not 0.0 <= gamma < math.inf:
-        raise ValueError(f"gamma must be finite and non-negative, got {gamma}")
-    if not 0.0 < p <= 1.0:
-        raise ValueError("p must lie in (0, 1]")
+    check_real("gamma", gamma, 0)
+    check_real("p", p, 0, 1, lo_open=True)
     swing = np.atleast_1d(_integers("swing vertex ids", swing_set)).astype(np.int64, copy=False)
     if swing.ndim != 1:
         raise ValueError(f"swing vertex ids must be 1-D, got shape {swing.shape}")

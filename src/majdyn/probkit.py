@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import check_integer
+from .graph import check_integer, check_real
 
 _CONV_TRIALS_GUARD = 20000
 _BERRY_ESSEEN_GUARD = 10**6
@@ -62,8 +62,7 @@ class BinomSpec:
 
     def __post_init__(self):
         check_integer("trials", self.trials, 0)
-        if not 0.0 <= self.prob <= 1.0:
-            raise ValueError("prob must lie in [0, 1]")
+        check_real("prob", self.prob, 0, 1)
 
     @property
     def mean(self) -> float:
@@ -79,10 +78,7 @@ class PMF:
     masses: np.ndarray
 
     def p_ge(self, k: int) -> float:
-        i = max(k - self.support_offset, 0)
-        if i >= self.masses.size:
-            return 0.0
-        return float(self.masses[i:].sum())
+        return float(self.masses[max(k - self.support_offset, 0):].sum())
 
     def max_mass(self) -> float:
         return float(self.masses.max())
@@ -124,8 +120,8 @@ def binom_diff_pmf(a: BinomSpec, b: BinomSpec) -> PMF:
 
 def chernoff_upper(mu: float, t: float) -> float:
     """Upper-tail bound exp(-t^2 / (2*mu + 2*t/3)) for P[X >= mu + t]."""
-    if mu < 0 or t < 0:
-        raise ValueError("mu and t must be non-negative")
+    check_real("mu", mu, 0)
+    check_real("t", t, 0)
     if t == 0:
         return 1.0
     return math.exp(-t * t / (2.0 * mu + 2.0 * t / 3.0))
@@ -133,8 +129,8 @@ def chernoff_upper(mu: float, t: float) -> float:
 
 def chernoff_lower(mu: float, t: float) -> float:
     """Lower-tail bound exp(-t^2 / (2*mu)) for P[X <= mu - t]."""
-    if mu < 0 or t < 0:
-        raise ValueError("mu and t must be non-negative")
+    check_real("mu", mu, 0)
+    check_real("t", t, 0)
     if t == 0:
         return 1.0
     if mu == 0:
@@ -163,8 +159,7 @@ def psi(x):
 def psi_pair_bound_constant(c: float) -> float:
     """The constant exp(-c^2/2)/sqrt(2*pi) in the lower bound
     psi(x) + psi(y) >= 1 - C*(x+y) for x+y < 0, |x|+|y| <= c."""
-    if c <= 0:
-        raise ValueError("c must be positive")
+    check_real("c", c, 0, lo_open=True)
     return math.exp(-c * c / 2.0) / math.sqrt(2.0 * math.pi)
 
 
@@ -174,8 +169,7 @@ def check_binom_shift(a: BinomSpec, b: BinomSpec) -> tuple[float, float]:
     if a.prob != b.prob:
         raise ValueError("both variables must share the success probability")
     p = a.prob
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie strictly inside (0, 1)")
+    check_real("prob", p, 0, 1, lo_open=True, hi_open=True)
     if a.trials + b.trials < 1:
         raise ValueError("need at least one trial in total")
     masses = binom_diff_pmf(a, b).masses
@@ -223,6 +217,7 @@ def check_coupling(
       E[Z2] * max_k P[Z1-W = k]); the middle term always lies between the
     outer two.
     """
+    check_integer("ell", ell)
     _guard_trials(z1, z2, w1, w2)
     mz1, mz2, mw1, mw2 = (_binom_masses(s) for s in (z1, z2, w1, w2))
     mw = np.convolve(mw1, mw2)
@@ -244,8 +239,8 @@ def check_four_rv(
     Delta = max(|n1-n3|, |n2-n4|)."""
     for name, ni in zip(("n1", "n2", "n3", "n4"), (n1, n2, n3, n4)):
         check_integer(name, ni, 1)
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie strictly inside (0, 1)")
+    check_real("p", p, 0, 1, lo_open=True, hi_open=True)
+    check_integer("ell", ell)
     d_primed = binom_diff_pmf(BinomSpec(n1, p), BinomSpec(n2, p))
     d_plain = binom_diff_pmf(BinomSpec(n3, p), BinomSpec(n4, p))
     diff = abs(d_primed.p_ge(ell) - d_plain.p_ge(ell))
@@ -259,8 +254,7 @@ def berry_esseen_gap(n: int, p: float) -> float:
     """Max over integer cut points k of |P[X <= k] - Phi((k - np)/sigma)|
     for X ~ Bin(n, p); the binomial CDF is a direct pairwise summation."""
     check_integer("n", n, 1, _BERRY_ESSEEN_GUARD)
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie strictly inside (0, 1)")
+    check_real("p", p, 0, 1, lo_open=True, hi_open=True)
     masses = _binom_masses(BinomSpec(n, p))
     cdf = np.cumsum(masses)
     sigma = math.sqrt(n * p * (1.0 - p))

@@ -294,7 +294,7 @@ class TestSweep:
 
     @pytest.mark.parametrize("flags, message", [
         (["--p", "0.1", "--d-values", "0,2,102"], "opinion sum d must lie in -100..100, got 102"),
-        (["--p-values", "0.05,2.0"], "resolved density 2.0 outside (0, 1]"),
+        (["--p-values", "0.05,2.0"], "p must lie in (0, 1], got 2.0"),
     ], ids=["d", "p"])
     def test_a_bad_last_grid_value_exits_1_with_no_rows(self, capsys, flags, message):
         code, out, err = run_cli(capsys, "sweep", "--n", "100", "--trials", "2", *flags)

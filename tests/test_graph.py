@@ -677,9 +677,13 @@ class TestEstimateJumbledness:
         with pytest.raises(ValueError, match=re.escape("(2*max <= n)")):
             estimate_jumbledness(empty_graph(1), 0.5)
 
-    @pytest.mark.parametrize("p", [-0.1, 1.5, math.nan])
-    def test_rejects_a_density_outside_the_unit_interval(self, p):
-        with pytest.raises(ValueError, match=re.escape("p must lie in [0, 1]")):
+    @pytest.mark.parametrize("p, message", [
+        (-0.1, "p must lie in [0, 1], got -0.1"),
+        (1.5, "p must lie in [0, 1], got 1.5"),
+        (math.nan, "p must be finite, got nan"),
+    ], ids=["-0.1", "1.5", "nan"])
+    def test_rejects_a_density_outside_the_unit_interval(self, p, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             estimate_jumbledness(empty_graph(10), p)
 
 

@@ -80,6 +80,15 @@ class TestConfig:
         with pytest.raises(ValueError, match="^p_spec .* overflows a float at n=100$"):
             cfg.validate()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("spec", [PSpec(1.0, 400.0, 0.0), PSpec(1.0, 0.0, 1e308)],
+                             ids=["exponent", "log_power"])
+    def test_overflowing_density_formula_names_p_spec_at_a_numpy_n(self, spec):
+        # numpy's power would give inf with a RuntimeWarning, not raise
+        cfg = ExperimentConfig(n=np.int64(100), p_spec=spec)
+        with pytest.raises(ValueError, match="^p_spec .* overflows a float at n=100$"):
+            cfg.validate()
+
     @pytest.mark.parametrize("n", [0, 1])
     def test_regime_density_needs_two_vertices(self, n):
         # log(1) = 0 and log(0) is undefined, so the formula has no density there
@@ -579,7 +588,7 @@ class TestDensitySweep:
 @pytest.mark.parametrize("sweep, base, grid, message", [
     (bias_sweep, fixed_cfg(trials=2), [0, 2, 3], "opinion sum d=3 has the wrong parity for n=120"),
     (bias_sweep, fixed_cfg(trials=2), [0, 2, 122], "opinion sum d must lie in -120..120, got 122"),
-    (density_sweep, small_cfg(p=None, trials=2), [0.05, 0.2, 2.0], "resolved density 2.0 outside"),
+    (density_sweep, small_cfg(p=None, trials=2), [0.05, 0.2, 2.0], r"p must lie in \(0, 1\], got 2\.0"),
 ], ids=["d-parity", "d-magnitude", "p-range"])
 def test_sweeps_check_every_row_before_the_first_runs(monkeypatch, sweep, base, grid, message):
     runs = []

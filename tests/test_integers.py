@@ -21,6 +21,7 @@ from majdyn import (
     PSpec,
     berry_esseen_gap,
     bias_sweep,
+    check_coupling,
     check_four_rv,
     contraction_experiment,
     estimate_jumbledness,
@@ -45,7 +46,8 @@ def four_rv_at(i):
     return call
 
 
-# (argument's name in the message, call with the value, a valid value, a value out of range)
+# (argument's name in the message, call with the value, a valid value, a value out of
+# range or None where every integer is legal)
 SITES = {
     "config.trials": ("trials", with_config("trials"), 2, 0),
     "config.day_cap": ("day_cap", with_config("day_cap"), 3, 0),
@@ -70,6 +72,8 @@ SITES = {
     **{f"check_four_rv.n{i + 1}": (f"n{i + 1}", four_rv_at(i), 55, 0) for i in range(4)},
     "berry_esseen_gap": ("n", lambda v: berry_esseen_gap(v, 0.3), 100, 10**6 + 1),
     "run_lemma_sweeps": ("max_cases", run_lemma_sweeps, 1, 0),
+    "check_four_rv.ell": ("ell", lambda v: check_four_rv(50, 60, 70, 80, 0.3, v), 2, None),
+    "check_coupling.ell": ("ell", lambda v: check_coupling(*[BinomSpec(10, 0.3)] * 4, v), 2, None),
 }
 
 
@@ -82,7 +86,7 @@ def test_a_non_integer_is_refused_by_name(site, value):
         call(value)
 
 
-@pytest.mark.parametrize("site", SITES)
+@pytest.mark.parametrize("site", [site for site, entry in SITES.items() if entry[3] is not None])
 def test_a_value_out_of_range_is_refused_by_name(site):
     name, call, _, outside = SITES[site]
     with pytest.raises(ValueError, match=f"^{re.escape(name)} must (be at least|lie in) .*, got {outside}$"):
@@ -95,9 +99,17 @@ def test_a_numpy_integer_is_accepted(site):
     call(np.int64(valid))
 
 
+@pytest.mark.parametrize("ell", [-10**6, 10**6])
+def test_every_integer_ell_is_legal_beyond_the_support_too(ell):
+    # the tails there are exactly 1 or 0, so both differences vanish
+    assert check_four_rv(50, 60, 70, 80, 0.3, ell)[0] < 1e-12
+    assert abs(check_coupling(*[BinomSpec(10, 0.3)] * 4, ell)[1]) < 1e-12
+
+
 def test_the_rule_itself():
     check_integer("k", 3, 3, 3)
     check_integer("k", np.uint8(200), 0)
+    check_integer("k", -2**70)  # no bound on either side
     for value, message in [
         (2**40, "k must lie in 0..7, got 1099511627776"),
         (-1, "k must lie in 0..7, got -1"),

@@ -188,7 +188,7 @@ class TestSampleInitial:
 
     @pytest.mark.parametrize("kind", ["uniform", "morning_evening"])
     def test_rejects_negative_swing_coefficient(self, kind):
-        with pytest.raises(ValueError, match="c must be finite and non-negative, got -0.5"):
+        with pytest.raises(ValueError, match=r"^swing coefficient c must lie in \[0, inf\), got -0\.5$"):
             OpinionModel(kind, c=-0.5).validate(100)
 
     def test_rejects_a_swing_larger_than_the_minus_ones(self):

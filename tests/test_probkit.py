@@ -129,9 +129,9 @@ class TestNormalCdf:
 class TestBinomDiffPmf:
     @pytest.mark.parametrize("trials, prob, message", [
         (-1, 0.5, "^trials must be at least 0, got -1$"),
-        (3, 1.5, re.escape("prob must lie in [0, 1]")),
-        (3, -0.1, re.escape("prob must lie in [0, 1]")),
-        (3, math.nan, re.escape("prob must lie in [0, 1]")),
+        (3, 1.5, re.escape("prob must lie in [0, 1], got 1.5")),
+        (3, -0.1, re.escape("prob must lie in [0, 1], got -0.1")),
+        (3, math.nan, "^prob must be finite, got nan$"),
     ], ids=["negative-trials", "prob-above-1", "prob-below-0", "prob-nan"])
     def test_spec_rejects_bad_parameters(self, trials, prob, message):
         with pytest.raises(ValueError, match=message):
@@ -343,8 +343,8 @@ class TestFourRv:
     @pytest.mark.parametrize("ns, p, message", [
         ((0, 80, 100, 80), 0.1, "^n1 must be at least 1, got 0$"),
         ((100, 80, 100, -1), 0.1, "^n4 must be at least 1, got -1$"),
-        ((100, 80, 100, 80), 0.0, re.escape("p must lie strictly inside (0, 1)")),
-        ((100, 80, 100, 80), 1.0, re.escape("p must lie strictly inside (0, 1)")),
+        ((100, 80, 100, 80), 0.0, re.escape("p must lie in (0, 1), got 0.0")),
+        ((100, 80, 100, 80), 1.0, re.escape("p must lie in (0, 1), got 1.0")),
     ], ids=["n1-zero", "n4-negative", "p-zero", "p-one"])
     def test_rejects_bad_parameters(self, ns, p, message):
         with pytest.raises(ValueError, match=message):
