@@ -22,24 +22,45 @@ identical graph, bit for bit.
 Both :func:`sample_gnp` and :func:`from_edges` reduce their edges to sorted
 linear pair indices and share one assembly path: exact integer row starts
 split the indices into the upper triangle U's rows, whose int32 columns go
-straight into one array, and the symmetric CSR is ``U + Uᵀ`` (scipy's
-counting transpose and sorted merge).  No float root and no sort or COO
-conversion is involved.  The sampler runs this as one blocked pass over one
-stream of skip gaps, draw for draw ``rng.geometric(p)``'s (below p = 1/3
-from standard exponentials, as numpy's geometric inversion draws them), in
-blocks doubling up to ``_GAP_BLOCK``, so no index array of the whole graph
-is built.  The graph is that of the stream, whatever the block sizes; a
-passed-in Generator is left after the block that crosses the last pair.
+straight into one array, and the symmetric CSR is built as two row bands
+split at c = floor(n / sqrt(2)), which puts about half of the lower
+triangle in each.  A band's lower part is the transpose of U's entries
+with ids in the band (the ids below c for rows below c, every other entry
+for the rest), copied out once; each band is one of scipy's counting
+transposes and one of its sorted merges with U's own rows of the band,
+called on the sparsetools kernels with arrays allocated here, and both
+merges write straight into the graph's arrays.  No float root and no sort
+or COO conversion is involved.  The sampler runs this as one blocked pass
+over one stream of skip gaps, draw for draw ``rng.geometric(p)``'s (below
+p = 1/3 from standard exponentials, as numpy's geometric inversion draws
+them), in blocks doubling up to ``_GAP_BLOCK``, so no index array of the
+whole graph is built.  The graph is that of the stream, whatever the block
+sizes; a passed-in Generator is left after the block that crosses the last
+pair.
+
+From ``_THREAD_ENTRIES`` upper-triangle entries on (expected ones for the
+sampler, given ones for :func:`from_edges`), and only when the process may
+run on two CPUs, a call takes a one-thread pool of its own: the sampler's
+gaps (below p = 1/3) are drawn a block ahead on it while this thread cuts
+the block before into rows, and band 1 is built on it while band 0 is
+built here.  That thread runs only numpy fills, ufuncs with ``out=`` and
+the two sparsetools kernels, all on arrays allocated by the calling thread,
+so nothing large is allocated in its own malloc arena, where freed memory
+would stay resident; the pool is joined before the call returns, and an
+exception on either thread propagates.
+Below the threshold the same plan runs on the calling thread alone, and
+the bytes are the same either way.
 
 The scipy adjacency used by the dynamics stores its ones in the narrowest
 signed dtype that holds every neighbour sum (int8 up to maximum degree
 127), sized from the graph itself.
 
 ``scipy.sparse`` is imported inside the functions that build a CSR (the
-adjacency and :func:`_symmetric`), not with this module, so ``import
-majdyn`` loads numpy only and a command that never builds a graph
-(``verify-lemmas``) never loads the sparse stack; after the first build
-Python's import cache makes the import a lookup.
+adjacency and :func:`_symmetric`), and the thread pool inside the function
+that makes one, not with this module, so ``import majdyn`` loads numpy
+only and a command that never builds a graph (``verify-lemmas``) never
+loads the sparse stack; after the first build Python's import cache makes
+the import a lookup.
 
 The jumbledness witness takes its edge counts e(U, V) between vertex sets
 from one sparse × dense product: the indicator vectors of the V sets are
@@ -54,6 +75,7 @@ ids at once.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import os
@@ -73,6 +95,9 @@ _HEADER = struct.Struct("<8sIQQ")
 _BLOCK_BYTES = 1 << 23
 # skip gaps drawn, summed and cut into rows at a time by the sampler
 _GAP_BLOCK = 1 << 18
+# upper-triangle entries from which a graph is sampled and assembled on two
+# threads: quenched n=1e5, p=2e-4 (1e6) stays on one, n=1e6, p=2e-5 (1e7) takes two
+_THREAD_ENTRIES = 1 << 22
 # vertex ids are int32, so a graph has at most 2**31 vertices
 MAX_VERTICES = 2**31
 
@@ -219,6 +244,7 @@ def from_edges(n: int, edges) -> Graph:
     irrelevant.
     """
     check_integer("n", n, 1, MAX_VERTICES)
+    n = int(n)  # a numpy n would wrap in the band cut's n * n
     if not isinstance(edges, np.ndarray):
         edges = list(edges)
     pairs = _integers("edge endpoints", edges)
@@ -234,7 +260,8 @@ def from_edges(n: int, edges) -> Graph:
     lin = np.sort(_row_start(n, u) + v - u - 1)
     if np.any(lin[1:] == lin[:-1]):
         raise ValueError("duplicate edges are not allowed")
-    return _symmetric(n, *_upper_rows(n, [lin], lin.size))
+    with _second_thread(lin.size) as pool:
+        return _symmetric(n, *_upper_rows(n, [lin], lin.size), pool)
 
 
 def _row_start(n: int, u: np.ndarray) -> np.ndarray:
@@ -242,23 +269,35 @@ def _row_start(n: int, u: np.ndarray) -> np.ndarray:
     return u * (n - 1) - u * (u - 1) // 2
 
 
-def _upper_rows(n: int, blocks, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Upper-triangle CSR (row pointers in scipy's index dtype, int32
-    columns) from blocks of sorted, unique linear pair indices, each block
-    above the one before.
+def _band_cut(n: int) -> int:
+    """c = floor(n / sqrt(2)), exactly: the pairs with both ends below c are
+    about half of all pairs, so the two row bands of the symmetric CSR, rows
+    below c and rows from c on, hold about as many lower-triangle entries."""
+    return math.isqrt(n * n // 2)
+
+
+def _upper_rows(n: int, blocks, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Upper-triangle CSR (row pointers in scipy's index dtype for its
+    symmetric CSR, int32 columns) from blocks of sorted, unique linear pair
+    indices, each block above the one before, and the row pointers of its
+    entries with ids below c = ``_band_cut(n)``, which only rows below c have.
 
     Pair (u, v), u < v, has index R(u) + v - u - 1 in the lexicographic
-    enumeration.  Row starts R(w) are exact integers, so a binary search of
-    the starts a block spans cuts it into rows, and each column is written
-    straight into one int32 array of ``size`` slots (grown if a block runs
-    past them): the difference fits in 32 bits, so the int64 indices never
-    need to outlive their block.  The row pointers are built in int64 and
-    narrowed on return, so the wide copy is gone before ``U + Uᵀ``.
+    enumeration.  Row starts R(w) and each row's cut key R(u) + c - u - 1,
+    the index of (u, c), are exact integers, so a binary search of the ones
+    a block spans cuts it into rows and finds where each row's ids from c on
+    begin.  Each column is written straight into one int32 array of
+    ``size`` slots (grown if a block runs past them): the difference fits in
+    32 bits, so the int64 indices never need to outlive their block.  The
+    row pointers are built in int64 and narrowed on return, so the wide
+    copies are gone before the assembly.
     """
+    c = _band_cut(n)
     starts = _row_start(n, np.arange(n + 1, dtype=np.int64))
     upptr = np.zeros(n + 1, dtype=np.int64)
+    cut = np.empty(c, dtype=np.int64)
     cols = np.empty(size, dtype=np.int32)
-    done, w = 0, 1  # columns written; row pointers 0..w-1 set
+    done, w, wc = 0, 1, 0  # columns written; row pointers 0..w-1 and cuts 0..wc-1 set
     for lin in blocks:
         if lin.size == 0:
             continue
@@ -267,29 +306,125 @@ def _upper_rows(n: int, blocks, size: int) -> tuple[np.ndarray, np.ndarray]:
         end = int(np.searchsorted(starts, lin[-1], side="right"))  # last row + 1
         cuts = np.searchsorted(lin, starts[w:end])
         upptr[w:end] = cuts + done
+        # only rows below ``end`` can have their cut key in this block
+        keys = starts[wc:min(end, c)] + (c - 1) - np.arange(wc, min(end, c))
+        top = wc + int(np.searchsorted(keys, lin[-1], side="right"))
+        cut[wc:top] = np.searchsorted(lin, keys[:top - wc]) + done
         rows = np.arange(w - 1, end)
         base = np.repeat(starts[w - 1:end] - rows - 1, np.diff(cuts, prepend=0, append=lin.size))
         np.subtract(lin, base, out=cols[done:done + lin.size], casting="unsafe")
         done += lin.size
-        w = end
+        w, wc = end, top
     upptr[w:] = done
-    return upptr.astype(_index_dtype(done)), cols[:done]
+    cut[wc:] = done
+    idx = _index_dtype(2 * done)
+    lo_ptr = np.zeros(c + 1, dtype=idx)
+    np.cumsum(np.subtract(cut, upptr[:c], out=cut), out=lo_ptr[1:])
+    return upptr.astype(idx), cols[:done], lo_ptr
 
 
-def _symmetric(n: int, upptr: np.ndarray, cols: np.ndarray) -> Graph:
-    """Symmetric CSR from the upper triangle U as ``U + Uᵀ``.
+def _symmetric(n: int, upptr: np.ndarray, cols: np.ndarray, lo_ptr: np.ndarray, pool=None) -> Graph:
+    """Symmetric CSR from the upper triangle U, as two row bands split at
+    c = ``lo_ptr.size - 1``, each band's lower part the transpose of U's
+    entries with ids in that band.
 
-    scipy's counting transpose of U's bool CSR is the CSR of Uᵀ with sorted
-    rows, and its sorted merge of the two (disjoint) patterns gives every
-    row sorted: the lower neighbours (< w) of row w all precede the upper.
-    The merge's own ``indptr``, in scipy's index dtype for 2m entries,
-    becomes the graph's offsets as it is.
+    Band 0, rows below c, takes its lower neighbours from the ids below c,
+    which only U's rows below c hold, each row's before its ids from c on
+    (``lo_ptr`` points at them); band 1, rows from c on, from every other
+    entry, with its ids shifted down by c.  Both sets are copied out of U
+    in chunks, into the half of the graph's neighbour array that the merges
+    fill last.  Each band is then one counting transpose of its copy (sorted
+    rows) and one sorted merge with U's own rows of the band, in which every
+    lower neighbour (< w) of row w precedes every upper one; both merges
+    write straight into their slices of the graph's arrays, in scipy's index
+    dtype for 2m entries.  With a ``pool``, band 1 runs on its thread while
+    band 0 runs on this one; every array either kernel touches is allocated
+    here, and the two bands touch disjoint slices of them.
+
+    The kernels carry a value for every entry, which nothing reads: each
+    band passes its own slice of one all-True array for every value
+    argument, in and out, so every value read or written is True.
     """
-    import scipy.sparse as sp
+    from scipy.sparse._sparsetools import csr_plus_csr, csr_tocsc
 
-    upper = sp.csr_matrix((np.ones(cols.size, dtype=bool), cols, upptr), shape=(n, n))
-    both = upper + upper.T.tocsr()
-    return Graph(n, both.indptr, both.indices)
+    c, m = lo_ptr.size - 1, cols.size
+    idx = upptr.dtype
+    head = int(upptr[c])  # U's entries in rows below c
+    low = int(lo_ptr[-1])
+    hi_ptr = upptr.copy()
+    hi_ptr[:c + 1] -= lo_ptr
+    hi_ptr[c + 1:] -= low
+    cols = cols.astype(idx, copy=False)
+    # band 0's ids in ids[:low], band 1's, shifted, in ids[low:], held in
+    # the second half of the graph's neighbour array, which only the merges
+    # write, after the transposes have read it; the positions come from the
+    # chunk itself, so "clip" never clips and, unlike "raise", writes
+    # ``out`` without a buffered copy
+    neighbors = np.empty(2 * m, dtype=idx)
+    ids = neighbors[m:]
+    at, hi = 0, low
+    for a in range(0, head, _GAP_BLOCK):
+        chunk = cols[a:min(a + _GAP_BLOCK, head)]
+        keep = chunk < c
+        where = np.flatnonzero(keep)
+        np.take(chunk, where, out=ids[at:at + where.size], mode="clip")
+        at += where.size
+        where = np.flatnonzero(np.logical_not(keep, out=keep))
+        np.take(chunk, where, out=ids[hi:hi + where.size], mode="clip")
+        hi += where.size
+    ids[low:hi] -= c
+    np.subtract(cols[head:], c, out=ids[hi:])
+
+    split = low + head  # band 0's entries in the graph
+    vals = np.ones(2 * m, dtype=bool)
+    v0, v1 = vals[:split], vals[split:]
+    t_ids = np.empty(m, dtype=idx)
+    t_ptr0, t_ptr1 = np.empty(c + 1, dtype=idx), np.empty(n - c + 1, dtype=idx)
+    _both(pool,
+          lambda: csr_tocsc(n, n - c, hi_ptr, ids[low:], v1, t_ptr1, t_ids[low:], v1),
+          lambda: csr_tocsc(c, c, lo_ptr, ids[:low], v0, t_ptr0, t_ids[:low], v0))
+    del hi_ptr
+
+    u_ptr1 = upptr[c:] - head  # band 1's rows of U, from cols[head:]
+    offsets, tail = np.empty(n + 1, dtype=idx), np.empty(n - c + 1, dtype=idx)
+    _both(pool,
+          lambda: csr_plus_csr(n - c, n, t_ptr1, t_ids[low:], v1, u_ptr1, cols[head:], v1,
+                               tail, neighbors[split:], v1),
+          lambda: csr_plus_csr(c, n, t_ptr0, t_ids[:low], v0, upptr[:c + 1], cols, v0,
+                               offsets[:c + 1], neighbors[:split], v0))
+    np.add(tail[1:], split, out=offsets[c + 1:])
+    return Graph(n, offsets, neighbors)
+
+
+def _both(pool, first, second) -> None:
+    """Call ``first()`` on ``pool``'s thread while ``second()`` runs on this
+    one, and return once both are done, raising what either raised; with no
+    pool, call them here in turn."""
+    if pool is None:
+        first()
+        second()
+        return
+    job = pool.submit(first)
+    try:
+        second()
+    finally:
+        job.result()
+
+
+@contextlib.contextmanager
+def _second_thread(entries: float):
+    """A one-thread pool for a graph of ``entries`` upper-triangle entries,
+    or None: a thread only from ``_THREAD_ENTRIES`` entries on, and only
+    with two CPUs this process may run on.  The pool is joined on exit, so
+    no thread outlives the call."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    if entries < _THREAD_ENTRIES or (cpus or 1) < 2:
+        yield None
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(1) as pool:
+        yield pool
 
 
 def _gap_source(rng: np.random.Generator, p: float, total: int, size: int):
@@ -320,13 +455,18 @@ def _gap_source(rng: np.random.Generator, p: float, total: int, size: int):
     return draw
 
 
-def _pair_blocks(rng: np.random.Generator, p: float, total: int, first: int):
+def _pair_blocks(rng: np.random.Generator, p: float, total: int, first: int, buffers: int = 1):
     """Yield the sorted linear indices of G(n, p)'s pairs, one block of
     gaps at a time, until the block that crosses ``total``.
 
     The first block is ``first`` gaps, each later one twice the last, all
     capped at ``_GAP_BLOCK`` and at total + 1 (gaps are at least 1, so that
-    many always cross).  Nothing is drawn after the crossing block.
+    many always cross).  Nothing is drawn after the crossing block.  Each
+    block is a view of one of ``buffers`` buffers, taken in turn, so with
+    two a block stays intact while the next one is drawn.  Every array a
+    block is written to is allocated before the first block, so below
+    p = 1/3, where the gaps are drawn into a buffer, a block allocates
+    nothing.
 
     Every sum up to the crossing is below 2 * total + 2, but the capped
     gaps after it can carry a block's cumsum past int64 once
@@ -335,17 +475,32 @@ def _pair_blocks(rng: np.random.Generator, p: float, total: int, first: int):
     """
     cap = min(_GAP_BLOCK, total + 1)
     draw = _gap_source(rng, p, total, cap)
-    buf = np.empty(cap, dtype=np.int64)
+    bufs = np.empty((buffers, cap), dtype=np.int64)
+    crossed = np.empty(cap, dtype=bool)
     k, pos = min(first, cap), 0
     while pos <= total:
-        lin = buf[:k]
-        np.cumsum(draw(k), dtype=np.int64, out=lin)
+        lin = bufs[0, :k]
+        bufs = bufs[::-1]  # the next block goes to the other buffer, if any
+        np.copyto(lin, draw(k), casting="unsafe")
+        np.cumsum(lin, out=lin)
         lin += pos - 1
-        end = int(np.argmax(lin >= total))
-        end = end if lin[end] >= total else k
+        hit = np.greater_equal(lin, total, out=crossed[:k])
+        end = int(np.argmax(hit))
+        end = end if hit[end] else k
         pos = int(lin[-1]) + 1 if end == k else total + 1
         yield lin[:end]
         k = min(2 * k, cap)
+
+
+def _drawn_ahead(blocks, pool):
+    """``blocks``, each drawn on ``pool``'s thread while the caller works on
+    the one before; the first is drawn here, so the generator's buffers are
+    allocated on this thread.  ``blocks`` must alternate two buffers."""
+    block = next(blocks, None)
+    while block is not None:
+        job = pool.submit(next, blocks, None)
+        yield block
+        block = job.result()
 
 
 def sample_gnp(n: int, p: float, seed) -> Graph:
@@ -355,12 +510,16 @@ def sample_gnp(n: int, p: float, seed) -> Graph:
     gap to the next present edge is drawn geometrically, so the dense
     Bernoulli sweep is never materialized (Batagelj and Brandes 2005).  One
     blocked pass draws the gaps, cumsums them into linear pair indices and
-    cuts them into upper-triangle rows; the symmetric CSR is ``U + Uᵀ``.
-    The graph is that of one ``rng.geometric(p)`` stream; a passed-in
-    Generator is left after the block of gaps that crosses the last pair.
+    cuts them into upper-triangle rows; the symmetric CSR is assembled from
+    those rows in two bands.  From ``_THREAD_ENTRIES`` expected edges on,
+    with two CPUs, the gaps are drawn a block ahead on a second thread and
+    the bands are built one on each.  The graph is that of one
+    ``rng.geometric(p)`` stream; a passed-in Generator is left after the
+    block of gaps that crosses the last pair.
     """
     check_integer("n", n, 1, MAX_VERTICES)
     check_real("p", p, 0, 1)
+    n = int(n)  # a numpy n would wrap in n * (n - 1)
     total = n * (n - 1) // 2
     if p == 0.0 or total == 0:
         return Graph(n, np.zeros(n + 1, dtype=np.int32), np.empty(0, dtype=np.int32))
@@ -368,8 +527,15 @@ def sample_gnp(n: int, p: float, seed) -> Graph:
     # always sized once, and it is the first block of gaps
     expect = total * p
     size = int(expect + 10.0 * math.sqrt(expect + 1.0)) + 16
-    blocks = _pair_blocks(np.random.default_rng(seed), p, total, size)
-    return _symmetric(n, *_upper_rows(n, blocks, min(size, total)))
+    rng = np.random.default_rng(seed)
+    with _second_thread(expect) as pool:
+        # from p = 1/3 up each block's gaps are a new array, so they are
+        # drawn here, not on the pool's thread, which allocates nothing
+        if pool is None or p >= 1.0 / 3.0:
+            blocks = _pair_blocks(rng, p, total, size)
+        else:
+            blocks = _drawn_ahead(_pair_blocks(rng, p, total, size, buffers=2), pool)
+        return _symmetric(n, *_upper_rows(n, blocks, min(size, total)), pool)
 
 
 def _edge_counts(g: Graph, pairs):

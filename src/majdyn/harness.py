@@ -53,6 +53,9 @@ class PSpec:
 
     def resolve(self, n: int) -> float:
         check_integer("n for a regime density", n, 2)
+        check_real("p_spec coefficient", self.coefficient, 0, lo_open=True)
+        check_real("p_spec exponent", self.exponent, -math.inf)
+        check_real("p_spec log_power", self.log_power, -math.inf)
         try:
             return self.coefficient * math.pow(n, self.exponent) * math.log(n) ** self.log_power
         except OverflowError:

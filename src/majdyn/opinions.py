@@ -81,7 +81,10 @@ def sample_fixed_discrepancy(n: int, d: int, seed) -> OpinionVector:
 
 
 def swing_count(n: int, c: float) -> int:
-    """round(c*sqrt(n)) with half-up rounding."""
+    """round(c*sqrt(n)) with half-up rounding; ValueError naming ``n`` or
+    ``c`` unless n is a vertex count and c a finite real >= 0."""
+    check_integer("n", n, 1, MAX_VERTICES)
+    check_real("swing coefficient c", c, 0)
     return int(math.floor(c * math.sqrt(n) + 0.5))
 
 
@@ -92,7 +95,6 @@ def apply_swing(r0: OpinionVector, c: float, seed) -> tuple[OpinionVector, np.nd
     is left unchanged (and returned itself when the swing is empty).
     Raises when fewer -1 vertices are available than the swing size.
     """
-    check_real("swing coefficient c", c, 0)
     k = swing_count(r0.n, c)
     negatives = np.flatnonzero(r0.signs() < 0)
     if k > negatives.size:

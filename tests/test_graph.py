@@ -9,9 +9,12 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 import pickle
 import re
+import sys
 import tempfile
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -97,6 +100,10 @@ class TestSampleGnp:
                   from_edges(np.uint32(3), [(0, 1), (1, 2)])):
             assert (g.n, g.neighbors.tolist()) == (3, [1, 0, 2, 1])
         assert sample_gnp(np.int32(3), 1.0, 0).edge_count == 3
+        # n * (n - 1) and n * n would wrap in int32 from n = 46341 on
+        assert csr_digest(sample_gnp(np.int32(50_000), 1e-5, 4)) == csr_digest(sample_gnp(50_000, 1e-5, 4))
+        assert csr_digest(from_edges(np.int32(50_000), [(0, 49_999)])) == csr_digest(
+            from_edges(50_000, [(0, 49_999)]))
 
     def test_deterministic_per_seed(self):
         a = sample_gnp(500, 0.02, 99)
@@ -376,6 +383,114 @@ class TestSamplerLaw:
         # the pair that opens the next row is independent of the row's end
         both = (hits[:, self.ROW_ENDS[:-1]] & hits[:, self.ROW_ENDS[:-1] + 1]).mean(axis=0)
         assert np.all(np.abs(both - p * p) <= 5.0 * math.sqrt(p * p * (1.0 - p * p) / self.SEEDS))
+
+
+def _two_threads(monkeypatch, cpus=(0, 1)):
+    """Every graph from now on is sampled and assembled as one of at least
+    ``_THREAD_ENTRIES`` entries, with ``cpus`` the CPUs this process may use."""
+    monkeypatch.setattr(graph_module, "_THREAD_ENTRIES", 0)
+    monkeypatch.setattr(graph_module.os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
+
+
+class TestTwoThreads:
+    """The second thread changes no byte: the gaps drawn a block ahead and the
+    two row bands built at once give the inline graph and leave a passed-in
+    Generator where the inline pass does."""
+
+    def test_a_thread_only_for_big_graphs_and_two_cpus(self, monkeypatch):
+        with graph_module._second_thread(graph_module._THREAD_ENTRIES - 1) as pool:
+            assert pool is None
+        # the process's own affinity mask, one CPU under ``taskset -c 0``
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        with graph_module._second_thread(graph_module._THREAD_ENTRIES) as pool:
+            assert (pool is not None) == (cpus >= 2)
+        _two_threads(monkeypatch, cpus=(0,))
+        with graph_module._second_thread(10**9) as pool:
+            assert pool is None
+        _two_threads(monkeypatch)
+        with graph_module._second_thread(0) as pool:
+            assert pool is not None
+            assert pool.submit(threading.get_ident).result(timeout=60) != threading.get_ident()
+
+    @pytest.mark.parametrize("n, p, seed, edges, digest, after", TestBlockedSampler.PINNED)
+    def test_pinned_graphs_and_generator_states(self, monkeypatch, n, p, seed, edges, digest, after):
+        _two_threads(monkeypatch)
+        rng = np.random.default_rng(seed)
+        g = sample_gnp(n, p, rng)
+        assert (g.edge_count, csr_digest(g), rng.random()) == (edges, digest, after)
+
+    @pytest.mark.parametrize("block", [1024, None], ids=["1024", "default"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 9, 2000])
+    @pytest.mark.parametrize("p", [0.0, 0.15, 0.6, 1.0])
+    def test_same_graph_and_generator_state_as_inline(self, monkeypatch, block, n, p):
+        if block is not None:
+            monkeypatch.setattr(graph_module, "_GAP_BLOCK", block)
+        want_rng = np.random.default_rng(31)
+        want = sample_gnp(n, p, want_rng)
+        _two_threads(monkeypatch)
+        rng = np.random.default_rng(31)
+        g = sample_gnp(n, p, rng)
+        assert csr_digest(g) == csr_digest(want)
+        assert rng.random() == want_rng.random()
+
+    def test_many_handoffs_under_a_short_switch_interval(self, monkeypatch):
+        # about 300 blocks handed between the threads, with the interpreter
+        # switching between them as often as it can
+        monkeypatch.setattr(graph_module, "_GAP_BLOCK", 16)
+        want = [csr_digest(sample_gnp(300, 0.1, seed)) for seed in range(3)]
+        _two_threads(monkeypatch)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = [csr_digest(sample_gnp(300, 0.1, seed)) for seed in range(3)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
+
+    def test_from_edges(self, monkeypatch):
+        _two_threads(monkeypatch)
+        TestSamplerDigests().test_from_edges_shuffled_bytes()
+        for n in (1, 2, 3):
+            g = from_edges(n, [])
+            assert (g.offsets.tolist(), g.neighbors.size) == ([0] * (n + 1), 0)
+
+    def test_a_failed_draw_propagates_and_no_thread_is_left(self, monkeypatch):
+        # the first block is drawn on this thread, every later one on the pool's
+        monkeypatch.setattr(graph_module, "_GAP_BLOCK", 16)
+        source, drawn_on = graph_module._gap_source, []
+
+        def failing(*args):
+            draw = source(*args)
+
+            def second_fails(k):
+                drawn_on.append(threading.get_ident())
+                if len(drawn_on) == 2:
+                    raise RuntimeError("draw failed")
+                return draw(k)
+
+            return second_fails
+
+        monkeypatch.setattr(graph_module, "_gap_source", failing)
+        _two_threads(monkeypatch)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="^draw failed$"):
+            sample_gnp(200, 0.1, 0)
+        assert threading.active_count() == before
+        assert drawn_on[0] == threading.get_ident() != drawn_on[1]
+
+    @pytest.mark.parametrize("threads", [False, True], ids=["inline", "two-threads"])
+    def test_int64_index_arrays_give_the_same_bytes(self, monkeypatch, threads):
+        # int64 is the index dtype from 2**31 entries on, too many to build here
+        monkeypatch.setattr(graph_module, "_index_dtype", lambda size: np.int64)
+        if threads:
+            _two_threads(monkeypatch)
+        n, p, seed, edges, digest, after = TestBlockedSampler.PINNED[0]
+        rng = np.random.default_rng(seed)
+        g = sample_gnp(n, p, rng)
+        assert g.offsets.dtype == np.int64
+        assert (g.edge_count, csr_digest(g), rng.random()) == (edges, digest, after)
+        h = from_edges(4, [(2, 1), (0, 3), (0, 1)])
+        assert (h.offsets.tolist(), h.neighbors.tolist()) == ([0, 2, 4, 5, 6], [1, 3, 0, 2, 1, 0])
 
 
 class TestFromEdges:

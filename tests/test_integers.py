@@ -28,6 +28,7 @@ from majdyn import (
     from_edges,
     run,
     run_lemma_sweeps,
+    swing_count,
 )
 from majdyn.graph import check_integer
 
@@ -72,6 +73,7 @@ SITES = {
     **{f"check_four_rv.n{i + 1}": (f"n{i + 1}", four_rv_at(i), 55, 0) for i in range(4)},
     "berry_esseen_gap": ("n", lambda v: berry_esseen_gap(v, 0.3), 100, 10**6 + 1),
     "run_lemma_sweeps": ("max_cases", run_lemma_sweeps, 1, 0),
+    "swing_count": ("n", lambda v: swing_count(v, 1.0), 100, 0),
     "check_four_rv.ell": ("ell", lambda v: check_four_rv(50, 60, 70, 80, 0.3, v), 2, None),
     "check_coupling.ell": ("ell", lambda v: check_coupling(*[BinomSpec(10, 0.3)] * 4, v), 2, None),
 }

@@ -20,6 +20,7 @@ from majdyn import (
     ExperimentConfig,
     OpinionModel,
     OpinionVector,
+    PSpec,
     apply_swing,
     berry_esseen_gap,
     census,
@@ -32,6 +33,7 @@ from majdyn import (
     psi_pair_bound_constant,
     sample_gnp,
     sample_morning,
+    swing_count,
 )
 from majdyn.graph import check_real
 
@@ -39,7 +41,8 @@ PATH = from_edges(4, [(0, 1), (1, 2), (2, 3)])
 R0 = OpinionVector([1, -1, 1, -1])
 
 # (argument's name in the message, call with the value, its interval, an int
-# inside it or None where none is, a float inside it, a value outside it)
+# inside it or None where none is, a float inside it, a value outside it or
+# None where every finite real is legal)
 SITES = {
     "sample_gnp": ("p", lambda v: sample_gnp(10, v, 0), "[0, 1]", 1, 0.25, 1.5),
     "estimate_jumbledness": (
@@ -63,6 +66,11 @@ SITES = {
     "apply_swing": (
         "swing coefficient c", lambda v: apply_swing(sample_morning(100, 0), v, 1),
         "[0, inf)", 1, 0.5, -0.5),
+    "swing_count": ("swing coefficient c", lambda v: swing_count(100, v), "[0, inf)", 1, 0.5, -0.5),
+    "PSpec.coefficient": (
+        "p_spec coefficient", lambda v: PSpec(v, -0.5, 0.0).resolve(100), "(0, inf)", 1, 0.5, 0),
+    "PSpec.exponent": ("p_spec exponent", lambda v: PSpec(0.5, v, 0.0).resolve(100), None, -1, -0.5, None),
+    "PSpec.log_power": ("p_spec log_power", lambda v: PSpec(0.5, -0.5, v).resolve(100), None, 1, 0.5, None),
     "chernoff_upper.mu": ("mu", lambda v: chernoff_upper(v, 1.0), "[0, inf)", 2, 2.5, -1),
     "chernoff_upper.t": ("t", lambda v: chernoff_upper(2.0, v), "[0, inf)", 1, 0.5, -0.5),
     "chernoff_lower.mu": ("mu", lambda v: chernoff_lower(v, 1.0), "[0, inf)", 2, 2.5, -1),
@@ -89,7 +97,7 @@ def test_a_value_that_is_not_finite_is_refused_by_name(site, value):
         call(value)
 
 
-@pytest.mark.parametrize("site", SITES)
+@pytest.mark.parametrize("site", [site for site, entry in SITES.items() if entry[5] is not None])
 def test_a_value_out_of_range_is_refused_by_name(site):
     name, call, interval, _, _, outside = SITES[site]
     message = f"{name} must lie in {interval}, got {outside}"
